@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures vet chaos chaos-recover bench-lookup bench-build bench-recover bench-snapshot bench-serve serve-smoke property fuzz cover ci
+.PHONY: build test race lint lint-fixtures vet fmt-check perfbench-test chaos chaos-recover bench-lookup bench-build bench-recover bench-snapshot bench-serve serve-smoke property fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,17 @@ lint-fixtures:
 
 vet:
 	$(GO) vet ./...
+
+## fmt-check: fail on any gofmt drift outside testdata/ (the lint fixtures
+## there are malformed on purpose).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+## perfbench-test: vet and test the benchmark program, a nested module that
+## ./... at the root does not reach.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 ## chaos: the fault-injection gate — the transport/core chaos suite under
 ## the race detector, repeated across a small seed matrix (each extra seed
@@ -153,4 +164,4 @@ cover:
 		fi; \
 	done
 
-ci: build vet lint test race chaos chaos-recover property cover fuzz bench-build bench-lookup bench-snapshot bench-serve serve-smoke
+ci: build vet fmt-check lint test perfbench-test race chaos chaos-recover property cover fuzz bench-build bench-lookup bench-snapshot bench-serve serve-smoke

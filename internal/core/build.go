@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"reptile/internal/kmer"
 	"reptile/internal/msgplane"
@@ -11,13 +12,30 @@ import (
 	"reptile/internal/spectrum"
 )
 
-// buildParallelism caps the extraction fan-out at the scheduler's actual
-// parallelism. Requesting more workers than the machine has cores cannot
+// buildParallelism caps one rank's extraction fan-out at its share of the
+// process's parallelism: GOMAXPROCS split evenly among the ranks living in
+// the process. Requesting more workers than the rank has cores cannot
 // speed anything up — the extra goroutines only add handoff, fold, and
 // cache overhead (BENCH_build's workers=4 running 0.76x of serial on a
-// small host was exactly this). Tests override the hook to force the
-// parallel path on machines with fewer cores than the sweep requests.
-var buildParallelism = func() int { return runtime.GOMAXPROCS(0) }
+// small host was exactly this, and so were np=2 proc ranks × 2 workers on
+// 2 CPUs). Tests override the hook to force the parallel path on machines
+// with fewer cores than the sweep requests.
+var buildParallelism = func() int {
+	return max(1, runtime.GOMAXPROCS(0)/max(1, int(liveRanks.Load())))
+}
+
+// liveRanks counts the ranks running in this process. An in-process group
+// registers all its ranks before launching any; the single-rank entry
+// points (RunRank, RunRankStreaming, StartService's build) register
+// themselves.
+var liveRanks atomic.Int64
+
+// joinProcess counts n more ranks as living in the process and returns the
+// call that removes them again.
+func joinProcess(n int) (leave func()) {
+	liveRanks.Add(int64(n))
+	return func() { liveRanks.Add(-int64(n)) }
+}
 
 // specBuilder runs the spectrum construction (Steps II-III) for one rank
 // with Heuristics.Workers extraction goroutines and a pipelined count
@@ -70,8 +88,9 @@ type specBuilder struct {
 
 // newSpecBuilder builds the sharded tables and registers the builder on the
 // context so currentMem accounts them. The worker count is clamped to the
-// machine's parallelism; at one effective worker the builder takes the
-// serial direct-route path, which never allocates the per-worker tables.
+// rank's share of the process's parallelism; at one effective worker the
+// builder takes the serial direct-route path, which never allocates the
+// per-worker tables.
 func (ctx *rankCtx) newSpecBuilder(retain bool) *specBuilder {
 	nw := ctx.opts.Heuristics.Workers
 	if nw < 1 {

@@ -103,6 +103,7 @@ type rankCtx struct {
 // abort so every peer unblocks promptly instead of hanging in a collective
 // or the responder loop.
 func RunRank(e transport.Conn, src Source, opts Options) (*RankOutput, error) {
+	defer joinProcess(1)()
 	return runRankPipeline(e, opts, batchSteps(src, opts))
 }
 

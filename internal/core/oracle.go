@@ -12,23 +12,6 @@ import (
 	"reptile/internal/transport"
 )
 
-// maxPrefetchEntries bounds the prefetch buffer. Entries never go stale —
-// the global spectra are static during Step IV — so the cap only bounds
-// memory; on overflow the buffer is simply cleared and refilled.
-const maxPrefetchEntries = 1 << 16
-
-// preKey identifies one prefetched lookup.
-type preKey struct {
-	kind byte
-	id   kmer.ID
-}
-
-// preVal is one prefetched answer, exactly as the owner sent it.
-type preVal struct {
-	cnt    uint32
-	exists bool
-}
-
 // distOracle resolves spectrum lookups for the corrector during Step IV,
 // implementing the paper's lookup chain: owned table → replicated/group
 // copy → retained reads table (with resolved global counts) → message to
@@ -66,7 +49,7 @@ type distOracle struct {
 	cacheKmer, cacheTile *spectrum.HashStore
 
 	// Batched-lookup state, nil/zero when Heuristics.LookupBatch == 0. The
-	// dispatcher and the prefetch plane (the rank-wide answers map and
+	// dispatcher and the prefetch plane (the rank-wide answer tables and
 	// per-owner accumulator) are shared by every worker of the rank; only
 	// the miss-filter scratch is this worker's own.
 	disp    *lookupDispatcher
@@ -154,9 +137,9 @@ func (o *distOracle) lookup(kind byte, id kmer.ID) (uint32, bool) {
 	// exactly as a live round trip would — this is what keeps a batched
 	// run's counters equal to the unbatched run's.
 	if o.plane != nil {
-		if v, ok := o.plane.answer(kind, id); ok {
-			o.finishRemote(kind, id, v.cnt, v.exists, cache)
-			return v.cnt, v.exists
+		if cnt, exists, ok := o.plane.answer(kind, id); ok {
+			o.finishRemote(kind, id, cnt, exists, cache)
+			return cnt, exists
 		}
 	}
 

@@ -90,7 +90,18 @@ func runRankPipeline(e transport.Conn, opts Options, steps []phaseStep) (*RankOu
 	if err := ctx.runSteps(steps); err != nil {
 		return nil, err
 	}
+	ctx.depart()
 	return ctx.rankOutput(), nil
+}
+
+// depart tells the peers this rank finished cleanly, on transports that
+// can say so: once the correct phase's stop has arrived no peer expects
+// another frame from this rank, so its endpoint closing afterwards must
+// not read as a rank failure at a peer whose own stop is still in flight.
+func (ctx *rankCtx) depart() {
+	if d, ok := ctx.e.(interface{ Depart() }); ok {
+		d.Depart()
+	}
 }
 
 // afterConstruct snapshots the table footprint at the second freeze point —

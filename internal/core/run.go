@@ -101,6 +101,9 @@ func runGroup(np int, opts Options, runOne func(conn transport.Conn, r int) (*Ra
 		return nil, err
 	}
 	defer transport.CloseGroup(eps)
+	// Every rank counts against the process's build budget before any of
+	// them starts, so no early rank sizes its workers for an emptier host.
+	defer joinProcess(np)()
 
 	outs := make([]*RankOutput, np)
 	errs := make([]error, np)
@@ -178,6 +181,6 @@ func recoveredGroup(outs []*RankOutput, errs []error) bool {
 // with TCP endpoints (see cmd/reptile-correct).
 func Run(src Source, np int, opts Options) (*Output, error) {
 	return runGroup(np, opts, func(conn transport.Conn, r int) (*RankOutput, error) {
-		return RunRank(conn, src, opts)
+		return runRankPipeline(conn, opts, batchSteps(src, opts))
 	})
 }

@@ -60,7 +60,11 @@ func StartService(e transport.Conn, src Source, opts Options) (*SpectrumService,
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.runSteps(buildSteps(src, opts)); err != nil {
+	// The rank draws on the process's build budget only while it builds.
+	leave := joinProcess(1)
+	err = ctx.runSteps(buildSteps(src, opts))
+	leave()
+	if err != nil {
 		return nil, err
 	}
 	ctx.enterPhase(stats.PhaseCorrect)
@@ -178,6 +182,7 @@ func (s *SpectrumService) drain(rejectOpens bool) (*RankOutput, error) {
 		ctx.res = ctx.sessions.totalResult()
 		ctx.st.PhaseMem[stats.PhaseCorrect] = ctx.currentMem()
 		ctx.observeMem()
+		ctx.depart()
 		out = ctx.rankOutput()
 	}
 	s.mu.Lock()

@@ -49,6 +49,13 @@ func (s *CollectSink) Close() error { return nil }
 // the sink, and dropped ("the short reads are again processed from the
 // file... storing the reads is not a feasible option", paper Step IV).
 func RunRankStreaming(e transport.Conn, src Source, opts Options, sink Sink) (*RankOutput, error) {
+	defer joinProcess(1)()
+	return runRankStreaming(e, src, opts, sink)
+}
+
+// runRankStreaming is RunRankStreaming for a rank whose launcher already
+// counted it among the process's ranks.
+func runRankStreaming(e transport.Conn, src Source, opts Options, sink Sink) (*RankOutput, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -303,6 +310,6 @@ func RunStreaming(src Source, np int, opts Options, sinks SinkFactory) (*Output,
 			conn.Close()
 			return nil, err
 		}
-		return RunRankStreaming(conn, src, opts, sink)
+		return runRankStreaming(conn, src, opts, sink)
 	})
 }

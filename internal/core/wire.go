@@ -188,7 +188,7 @@ func encodeBatchFrame(reqID uint32, kind byte, ids []kmer.ID) (msgplane.Tag, []b
 	return tagBatchReq, encodeBatchReq(reqID, kind, ids)
 }
 
-/// encodeBatchReq builds a tagBatchReq payload: the shared kind in the
+// encodeBatchReq builds a tagBatchReq payload: the shared kind in the
 // header, then every id as the zigzag-varint delta from its predecessor
 // (the first id deltas from zero). Any id order round-trips — an unsorted
 // frame just pays wider varints — so issuers sort for compression, not for

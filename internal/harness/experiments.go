@@ -426,8 +426,8 @@ func Build(sc Scale) (*Table, error) {
 	ds := buildDataset(genome.EColiSim, sc, false)
 	np := sc.Ranks(128)
 	par := runtime.GOMAXPROCS(0)
-	cpuBar := fmt.Sprintf("informational only (GOMAXPROCS=%d, <4 CPUs: the builder clamps its workers to the "+
-		"machine parallelism, so extra workers route through the serial path)", par)
+	cpuBar := fmt.Sprintf("informational only (GOMAXPROCS=%d, <4 CPUs: each rank's builder clamps its workers to "+
+		"its share of the process's parallelism, so extra workers route through the serial path)", par)
 	if par >= 4 {
 		cpuBar = fmt.Sprintf("enforced (GOMAXPROCS=%d)", par)
 	}

@@ -3,7 +3,7 @@ package spectrum
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"reptile/internal/kmer"
 )
@@ -167,7 +167,7 @@ func (p *PackedStore) EntriesInto(buf []Entry) []Entry {
 	start := len(buf)
 	p.Each(func(e Entry) bool { buf = append(buf, e); return true })
 	tail := buf[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
+	slices.SortFunc(tail, entryByID)
 	return buf
 }
 
@@ -298,7 +298,7 @@ func Freeze(shards ...*HashStore) *PackedStore {
 	}
 	// Shards are disjoint, so one global sort gives a deterministic slab
 	// layout independent of shard count and map iteration order.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ID < entries[j].ID })
+	slices.SortFunc(entries, entryByID)
 	p := NewPacked(entries)
 	for _, h := range shards {
 		h.Release()

@@ -9,8 +9,10 @@
 package spectrum
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"reptile/internal/kmer"
@@ -134,9 +136,13 @@ func (h *HashStore) EntriesInto(buf []Entry) []Entry {
 		buf = append(buf, Entry{ID: id, Count: c})
 	}
 	tail := buf[start:]
-	sort.Slice(tail, func(i, j int) bool { return tail[i].ID < tail[j].ID })
+	slices.SortFunc(tail, entryByID)
 	return buf
 }
+
+// entryByID orders entries by ID. IDs within one store are unique, so the
+// order is total and matches any other sort by ID.
+func entryByID(a, b Entry) int { return cmp.Compare(a.ID, b.ID) }
 
 // Clear removes all entries but keeps the allocated table. The batch-reads
 // heuristic empties the reads tables after every chunk (paper Section III-B).

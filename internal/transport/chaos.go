@@ -285,6 +285,14 @@ func (c *Chaos) MaxQueueDepth() int { return c.inner.MaxQueueDepth() }
 // Close implements Conn.
 func (c *Chaos) Close() error { return c.inner.Close() }
 
+// Depart forwards a clean exit to the wrapped endpoint. A crashed rank's
+// endpoint is already closed, so its peers still see the loss.
+func (c *Chaos) Depart() {
+	if !c.crashed.Load() {
+		c.inner.Depart()
+	}
+}
+
 // SetPeerDownHandler implements Conn, delegating to the wrapped endpoint:
 // recovery hooks must see organic and injected peer losses identically.
 func (c *Chaos) SetPeerDownHandler(h func(rank int, cause error) bool) {

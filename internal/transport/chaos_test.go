@@ -309,6 +309,38 @@ func TestTCPPeerCloseSurfacesAsPeerDown(t *testing.T) {
 	}
 }
 
+// TestTCPDepartedPeerCloseIsNotAFailure is TestTCPPeerCloseSurfacesAsPeerDown
+// with a departure first: the EOF of the departed rank's sockets must not
+// wake rank 0's blocked receive with a peer-down error, and traffic among
+// the remaining ranks still flows.
+func TestTCPDepartedPeerCloseIsNotAFailure(t *testing.T) {
+	eps := tcpGroupWith(t, 3, nil)
+	got := make(chan error, 1)
+	go func() {
+		m, err := eps[0].Recv(5)
+		if err == nil && string(m.Data) != "after departure" {
+			err = fmt.Errorf("got %q", m.Data)
+		}
+		got <- err
+	}()
+	<-eps[0].mbox.awaitWaiters(1)
+	eps[1].Depart()
+	eps[1].Close()
+	// A lost peer wakes the receiver within milliseconds (the test above);
+	// a departed one must not wake it at all.
+	select {
+	case err := <-got:
+		t.Fatalf("receive ended after a clean departure: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if err := eps[2].Send(0, 5, []byte("after departure")); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatalf("recv after a peer departed: %v", err)
+	}
+}
+
 func TestTCPHeartbeatKeepsIdleLinkAlive(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	eps := tcpGroupWith(t, 2, func(r int, cfg *TCPConfig) {

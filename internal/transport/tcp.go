@@ -285,6 +285,15 @@ func NewTCP(cfg TCPConfig) (*Endpoint, error) {
 			peers[to].conn.Close()
 		}
 	}
+	e.departFn = func() {
+		bye := encodeDepart(cfg.Rank)
+		for _, p := range peers {
+			if p != nil {
+				// Best effort: a peer that already closed needs no notice.
+				p.write(bye.Tag, bye.Data, cfg.PeerTimeout)
+			}
+		}
+	}
 	e.closeFn = func() error {
 		close(hbStop)
 		hbWG.Wait()
@@ -348,6 +357,9 @@ func readLoop(e *Endpoint, from int, conn net.Conn, peerTimeout time.Duration) {
 			e.peerFailed(from, &CorruptFrameError{From: from})
 			conn.Close()
 			return
+		}
+		if tag == tagDepart {
+			return // the peer left cleanly; nothing follows on this link
 		}
 		if err := e.deliver(Message{From: from, Tag: tag, Data: data}); err != nil {
 			return

@@ -114,6 +114,7 @@ var (
 const (
 	tagAbort     = -1 << 30   // run-wide abort broadcast; poisons the mailbox
 	tagHeartbeat = -1<<30 + 1 // keepalive on idle TCP links; dropped on arrival
+	tagDepart    = -1<<30 + 2 // a TCP peer's last frame before a clean close
 )
 
 // encodeAbort builds the abort control message carrying an opaque
@@ -126,6 +127,12 @@ func encodeAbort(from int, payload []byte) Message {
 // link's read deadline open while the application is idle.
 func encodeHeartbeat(from int) Message {
 	return Message{From: from, Tag: tagHeartbeat}
+}
+
+// encodeDepart builds the empty frame a TCP rank sends on every link just
+// before a clean close.
+func encodeDepart(from int) Message {
+	return Message{From: from, Tag: tagDepart}
 }
 
 // Message is one delivered unit: the sender's rank, the application tag,
@@ -217,6 +224,8 @@ type Endpoint struct {
 	// has no meaningful implementation.
 	corruptFn func(to int)
 	dropFn    func(to int)
+	// departFn sends the clean-exit frame on every link (TCP only).
+	departFn func()
 
 	// peerDownH, when installed, is consulted before a lost peer poisons
 	// the mailbox; see SetPeerDownHandler.
@@ -340,6 +349,19 @@ func (e *Endpoint) MaxQueueDepth() int {
 	e.mbox.mu.Lock()
 	defer e.mbox.mu.Unlock()
 	return e.mbox.maxDepth
+}
+
+// Depart announces a clean exit to every peer ahead of Close. Over TCP each
+// link carries one final departure frame; the peer's reader stops there,
+// so the EOF of the closing socket is not mistaken for a failed rank. Call
+// it only after the rank's last protocol exchange, when no peer can still
+// expect a frame from it. A peer that vanishes without departing — a
+// crash, a killed process, a plain Close — is still reported down.
+// In-process endpoints close as a group and need no announcement.
+func (e *Endpoint) Depart() {
+	if e.departFn != nil && !e.closed.Load() {
+		e.departFn()
+	}
 }
 
 // Close shuts the endpoint down. Blocked receivers return ErrClosed.
