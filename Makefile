@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-fixtures vet fmt-check perfbench-test chaos chaos-recover bench-lookup bench-build bench-recover bench-snapshot bench-serve serve-smoke property fuzz cover ci
+.PHONY: build test race lint lint-fixtures vet fmt-check perfbench-test chaos chaos-recover bench-lookup bench-build bench-recover bench-snapshot bench-serve serve-smoke spectrum-smoke property fuzz cover ci
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,26 @@ serve-smoke:
 	cmp $$dir/batch.fa $$dir/c2.fa; cmp $$dir/batch.qual $$dir/c2.qual; \
 	echo "serve-smoke: 2 concurrent clients byte-identical to the batch run"
 
+## spectrum-smoke: end-to-end spectrum-file smoke — simulate a small
+## dataset, build its RSNP spectrum file with reptile-spectrum, inspect it
+## with info, then require reptile-correct -snapshot to hit it and write
+## output byte-identical to a cold reptile-correct run.
+SMOKE_SPEC ?= -k 12 -overlap 4 -kmer-threshold 6 -tile-threshold 3
+spectrum-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o $$dir/reptile-spectrum ./cmd/reptile-spectrum; \
+	$(GO) build -o $$dir/reptile-correct ./cmd/reptile-correct; \
+	$(GO) run ./cmd/readsim -preset ecoli -scale 0.02 -out $$dir -name smoke; \
+	$$dir/reptile-spectrum build -fasta $$dir/smoke.fa -qual $$dir/smoke.qual -out $$dir/spec $(SMOKE_SPEC); \
+	$$dir/reptile-spectrum info -in $$dir/spec.r0.rsnap; \
+	$$dir/reptile-correct -np 1 -fasta $$dir/smoke.fa -qual $$dir/smoke.qual -out $$dir/cold $(SMOKE_SPEC); \
+	$$dir/reptile-correct -np 1 -fasta $$dir/smoke.fa -qual $$dir/smoke.qual -out $$dir/warm $(SMOKE_SPEC) \
+		-snapshot $$dir/spec -v | tee $$dir/warm.log; \
+	grep -q 'spectrum snapshot: hit on all 1 ranks' $$dir/warm.log || \
+		{ echo "spectrum-smoke: reptile-correct did not hit the built spectrum file"; exit 1; }; \
+	cmp $$dir/cold.fa $$dir/warm.fa; cmp $$dir/cold.qual $$dir/warm.qual; \
+	echo "spectrum-smoke: snapshot hit, output byte-identical to the cold run"
+
 ## property: the randomized/fuzz-seeded equivalence suites in short mode —
 ## packed-vs-hash store equivalence, freeze invariants, and the batched
 ## lookup equivalence matrix.
@@ -144,7 +164,8 @@ FUZZ_TARGETS ?= \
 	./internal/core/:FuzzBatchRespVarintCodec \
 	./internal/core/:FuzzSpecEntryCodec \
 	./internal/core/:FuzzDecodeAbortInfo \
-	./internal/snapshot/:FuzzSnapshotDecode
+	./internal/snapshot/:FuzzSnapshotDecode \
+	./internal/serve/:FuzzServeReadFrame
 fuzz:
 	@for spec in $(FUZZ_TARGETS); do \
 		pkg=$${spec%%:*}; target=$${spec##*:}; \
@@ -164,4 +185,4 @@ cover:
 		fi; \
 	done
 
-ci: build vet fmt-check lint test perfbench-test race chaos chaos-recover property cover fuzz bench-build bench-lookup bench-snapshot bench-serve serve-smoke
+ci: build vet fmt-check lint test perfbench-test race chaos chaos-recover property cover fuzz bench-build bench-lookup bench-snapshot bench-serve serve-smoke spectrum-smoke

@@ -1,14 +1,12 @@
-// Command reptile-spectrum builds, saves, and inspects k-mer/tile spectrum
-// files, so the construction cost is paid once per dataset:
+// Command reptile-spectrum builds and inspects spectrum files, so the
+// construction cost is paid once per dataset:
 //
-//	reptile-spectrum build -fasta ds.fa -qual ds.qual -out ds     # ds.kspec + ds.tspec
-//	reptile-spectrum build -fasta ds.fa -qual ds.qual -out ds -save   # + ds.r0.rsnap
-//	reptile-spectrum info -in ds.kspec
+//	reptile-spectrum build -fasta ds.fa -qual ds.qual -out ds   # ds.r0.rsnap
 //	reptile-spectrum info -in ds.r0.rsnap
 //
-// Spectrum files use the RSP1 format of internal/spectrum; -save also
-// writes the frozen stores as a single-rank RSNP snapshot (internal/
-// snapshot), directly loadable by reptile-correct -snapshot at np=1.
+// The file is a single-rank RSNP snapshot (internal/snapshot) holding the
+// frozen k-mer and tile stores, directly loadable by reptile-correct
+// -snapshot ds at np=1.
 package main
 
 import (
@@ -46,12 +44,11 @@ func build(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	fasta := fs.String("fasta", "", "input fasta file")
 	qual := fs.String("qual", "", "input quality file")
-	out := fs.String("out", "spectrum", "output prefix (<out>.kspec, <out>.tspec)")
+	out := fs.String("out", "spectrum", "output prefix (<out>.r0.rsnap)")
 	k := fs.Int("k", 12, "k-mer length")
 	overlap := fs.Int("overlap", 4, "tile overlap")
 	kmerThr := fs.Uint("kmer-threshold", 6, "k-mer solidity threshold")
 	tileThr := fs.Uint("tile-threshold", 3, "tile solidity threshold")
-	save := fs.Bool("save", false, "also write a single-rank frozen snapshot (<out>.r0.rsnap) loadable by reptile-correct -snapshot")
 	fs.Parse(args)
 	if *fasta == "" || *qual == "" {
 		fmt.Fprintln(os.Stderr, "reptile-spectrum build: -fasta and -qual are required")
@@ -70,100 +67,36 @@ func build(args []string) {
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
-	kmers, tiles := reptile.BuildSpectra(batch, cfg)
-	for _, part := range []struct {
-		store *spectrum.HashStore
-		path  string
-	}{
-		{kmers, *out + ".kspec"},
-		{tiles, *out + ".tspec"},
-	} {
-		f, err := os.Create(part.path)
-		if err != nil {
-			fatal(err)
-		}
-		n, err := part.store.WriteTo(f)
-		if err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %d entries, %d bytes\n", part.path, part.store.Len(), n)
+	hk, ht := reptile.BuildSpectra(batch, cfg)
+	kmers, tiles := spectrum.Freeze(hk), spectrum.Freeze(ht)
+	p := snapshot.Params{
+		K:             cfg.Spec.K,
+		Overlap:       cfg.Spec.Overlap,
+		KmerThreshold: cfg.KmerThreshold,
+		TileThreshold: cfg.TileThreshold,
+		NP:            1,
+		Rank:          0,
 	}
-	if *save {
-		p := snapshot.Params{
-			K:             cfg.Spec.K,
-			Overlap:       cfg.Spec.Overlap,
-			KmerThreshold: cfg.KmerThreshold,
-			TileThreshold: cfg.TileThreshold,
-			NP:            1,
-			Rank:          0,
-		}
-		path := snapshot.RankFile(*out, 0)
-		n, err := snapshot.Write(path, p, spectrum.Freeze(kmers), spectrum.Freeze(tiles))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: frozen snapshot, %d bytes\n", path, n)
+	path := snapshot.RankFile(*out, 0)
+	n, err := snapshot.Write(path, p, kmers, tiles)
+	if err != nil {
+		fatal(err)
 	}
+	fmt.Printf("%s: %d kmers, %d tiles, %d bytes\n", path, kmers.Len(), tiles.Len(), n)
 }
 
 func info(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
-	in := fs.String("in", "", "spectrum file")
-	top := fs.Int("top", 5, "show the N highest-count entries")
+	in := fs.String("in", "", "snapshot file (<prefix>.r<rank>.rsnap)")
+	top := fs.Int("top", 5, "show the N highest-count entries of each store")
 	fs.Parse(args)
 	if *in == "" {
 		fmt.Fprintln(os.Stderr, "reptile-spectrum info: -in is required")
 		os.Exit(2)
 	}
-	f, err := os.Open(*in)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	var magic [4]byte
-	if _, err := f.Read(magic[:]); err == nil && magic == snapshot.Magic {
-		snapshotInfo(*in)
-		return
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		fatal(err)
-	}
-	h, err := spectrum.ReadFrom(f)
-	if err != nil {
-		fatal(err)
-	}
-	var total uint64
-	var maxCount uint32
-	entries := h.Entries()
-	for _, e := range entries {
-		total += uint64(e.Count)
-		if e.Count > maxCount {
-			maxCount = e.Count
-		}
-	}
-	fmt.Printf("entries      %d\n", h.Len())
-	fmt.Printf("total count  %d\n", total)
-	if h.Len() > 0 {
-		fmt.Printf("mean count   %.1f\n", float64(total)/float64(h.Len()))
-		fmt.Printf("max count    %d\n", maxCount)
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Count > entries[j].Count })
-		n := *top
-		if n > len(entries) {
-			n = len(entries)
-		}
-		for _, e := range entries[:n] {
-			fmt.Printf("  id=%#016x count=%d\n", uint64(e.ID), e.Count)
-		}
-	}
-}
-
-// snapshotInfo prints an RSNP frozen-snapshot file: the parameter header,
-// then both stores' sizes (which requires the full checksum-verified load).
-func snapshotInfo(path string) {
-	p, kmers, tiles, n, err := snapshot.Read(path)
+	// The full checksum-verified load: every figure below is read from the
+	// frozen stores themselves.
+	p, kmers, tiles, n, err := snapshot.Read(*in)
 	if err != nil {
 		fatal(err)
 	}
@@ -171,13 +104,37 @@ func snapshotInfo(path string) {
 	fmt.Printf("rank         %d of %d\n", p.Rank, p.NP)
 	fmt.Printf("k / overlap  %d / %d\n", p.K, p.Overlap)
 	fmt.Printf("thresholds   kmer=%d tile=%d\n", p.KmerThreshold, p.TileThreshold)
-	fmt.Printf("kmers        %d entries\n", kmers.Len())
-	fmt.Printf("tiles        %d entries\n", tiles.Len())
-	total := kmers.Len() + tiles.Len()
-	if total > 0 {
+	if total := kmers.Len() + tiles.Len(); total > 0 {
 		fmt.Printf("bytes        %d (%.1f per entry)\n", n, float64(n)/float64(total))
 	} else {
 		fmt.Printf("bytes        %d\n", n)
+	}
+	storeInfo("kmers", kmers, *top)
+	storeInfo("tiles", tiles, *top)
+}
+
+// storeInfo prints one frozen store's entry count, count total, mean and
+// max count, and its top highest-count entries.
+func storeInfo(name string, s *spectrum.PackedStore, top int) {
+	entries := s.Entries()
+	var total uint64
+	var maxCount uint32
+	for _, e := range entries {
+		total += uint64(e.Count)
+		maxCount = max(maxCount, e.Count)
+	}
+	fmt.Printf("%s\n", name)
+	fmt.Printf("  entries      %d\n", len(entries))
+	fmt.Printf("  total count  %d\n", total)
+	if len(entries) == 0 {
+		return
+	}
+	fmt.Printf("  mean count   %.1f\n", float64(total)/float64(len(entries)))
+	fmt.Printf("  max count    %d\n", maxCount)
+	// Entries come in ID order, so the stable sort breaks count ties by ID.
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Count > entries[j].Count })
+	for _, e := range entries[:min(max(top, 0), len(entries))] {
+		fmt.Printf("    id=%#016x count=%d\n", uint64(e.ID), e.Count)
 	}
 }
 

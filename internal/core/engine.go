@@ -140,62 +140,86 @@ func (ctx *rankCtx) readPhase(src Source) error {
 	return nil
 }
 
-// balancePhase is the static load-balancing exchange of Section III-A:
-// reads are bucketed by content hash and shipped to their owner ranks with
-// one all-to-all, "randomizing" the file order so error-dense stretches
-// spread across all ranks.
+// balancePhase runs the static load-balancing exchange over the rank's
+// whole resident read set. The reads are the rank's own clones, so the ones
+// it keeps are not copied again.
 func (ctx *rankCtx) balancePhase() error {
+	mine, err := ctx.balance(ctx.myReads, false)
+	if err != nil {
+		return err
+	}
+	ctx.myReads = mine
+	ctx.st.ReadsAssigned = int64(len(mine))
+	return nil
+}
+
+// balance is the static load-balancing exchange of Section III-A: reads are
+// bucketed by content hash and shipped to their owner ranks with one
+// all-to-all, "randomizing" the file order so error-dense stretches spread
+// across all ranks. It returns the reads this rank must correct, in
+// sequence order regardless of arrival order. When batch aliases storage
+// the caller reuses (a source batch), the reads kept here are cloned;
+// shipped reads are encoded straight from batch and never cloned. With
+// balancing off every read stays put.
+func (ctx *rankCtx) balance(batch []reads.Read, aliased bool) ([]reads.Read, error) {
+	keep := func(r *reads.Read) reads.Read {
+		if aliased {
+			return r.Clone()
+		}
+		return *r
+	}
 	if !ctx.opts.LoadBalance {
-		ctx.st.ReadsAssigned = int64(len(ctx.myReads))
-		return nil
+		if !aliased {
+			return batch, nil
+		}
+		out := make([]reads.Read, len(batch))
+		for i := range batch {
+			out[i] = keep(&batch[i])
+		}
+		return out, nil
 	}
 	buckets := make([][]reads.Read, ctx.np)
-	var kept []reads.Read
-	for i := range ctx.myReads {
-		owner := ctx.myReads[i].OwnerRank(ctx.np)
+	var mine []reads.Read
+	for i := range batch {
+		owner := batch[i].OwnerRank(ctx.np)
 		if owner == ctx.rank {
-			kept = append(kept, ctx.myReads[i])
+			mine = append(mine, keep(&batch[i]))
 		} else {
-			buckets[owner] = append(buckets[owner], ctx.myReads[i])
+			buckets[owner] = append(buckets[owner], batch[i])
 			ctx.st.ReadsExchanged++
 		}
 	}
 	bufs := make([][]byte, ctx.np)
 	for r, b := range buckets {
 		if r != ctx.rank {
-			bufs[r] = reads.EncodeBatch(b)
+			bufs[r] = reads.EncodeBatch(b) // nil for an empty bucket
 			ctx.st.ExchangeBytes += int64(len(bufs[r]))
 		}
 	}
 	got, err := ctx.comm.Alltoallv(bufs)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ctx.myReads = kept
 	for r, buf := range got {
 		if r == ctx.rank || len(buf) == 0 {
 			continue
 		}
-		batch, err := reads.DecodeBatch(buf)
+		in, err := reads.DecodeBatch(buf)
 		if err != nil {
-			return fmt.Errorf("decoding reads from rank %d: %w", r, err)
+			return nil, fmt.Errorf("decoding reads from rank %d: %w", r, err)
 		}
-		ctx.myReads = append(ctx.myReads, batch...)
+		mine = append(mine, in...)
 	}
-	// Deterministic processing order regardless of arrival order.
-	sort.Slice(ctx.myReads, func(i, j int) bool { return ctx.myReads[i].Seq < ctx.myReads[j].Seq })
-	ctx.st.ReadsAssigned = int64(len(ctx.myReads))
-	return nil
+	sort.Slice(mine, func(i, j int) bool { return mine[i].Seq < mine[j].Seq })
+	return mine, nil
 }
 
-// spectrumPhase is Steps II-III: extract each round's reads with the
-// sharded worker pool, then ship non-owned counts to their owners. The
-// rounds are pipelined: round r's extraction, fold and encode overlap round
-// r-1's background all-to-all pair (double-buffered wire slabs keep them
-// independent), and the freeze point at the end packs the pruned owned
-// shards into immutable PackedStores. In batch-reads mode the round tables
-// are cleared after every chunk, so their size stays bounded by the chunk
-// (paper Section III-B); otherwise there is a single round.
+// spectrumPhase is the in-memory engine's Steps II-III: the balanced
+// resident reads run through the build round loop in chunks of ChunkReads
+// under batch-reads mode (paper Section III-B), otherwise as a single
+// round. Rank chunk counts may differ and everyone must join every
+// collective, so the round count is agreed once, up front (the paper's
+// MPI_Reduce-MAX step).
 //
 // reptile-lint:build
 func (ctx *rankCtx) spectrumPhase() error {
@@ -208,46 +232,65 @@ func (ctx *rankCtx) spectrumPhase() error {
 	if ctx.opts.Heuristics.BatchReads {
 		chunk = ctx.opts.Config.ChunkReads
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
+	chunk = max(chunk, 1)
 	rounds := int64((len(ctx.myReads) + chunk - 1) / chunk)
-	// Rank batch counts may differ; everyone must join every collective
-	// (the paper's MPI_Reduce-MAX step).
 	maxRounds, err := ctx.comm.AllreduceMaxInt64(rounds)
 	if err != nil {
 		return err
 	}
-	b := ctx.newSpecBuilder(ctx.opts.Heuristics.RetainReadKmers)
-	var inflight *exchangeJob
-	joinInflight := func() error {
-		if inflight == nil {
-			return nil
-		}
-		err := b.join(inflight)
-		inflight = nil
+	supply := func(round int) ([]reads.Read, error) {
+		lo := min(round*chunk, len(ctx.myReads))
+		hi := min(lo+chunk, len(ctx.myReads))
+		return ctx.myReads[lo:hi], nil
+	}
+	another := func(round int) (bool, error) { return int64(round) < maxRounds, nil }
+	return ctx.buildSpectrum(ctx.opts.Heuristics.RetainReadKmers, supply, another)
+}
+
+// buildSpectrum is the one round loop behind both engines' spectrum
+// construction. Each round, supply hands over the round's reads; the
+// sharded worker pool extracts and folds them, and their non-owned counts
+// ship to the owners. The rounds are pipelined: round r's extraction, fold
+// and encode overlap round r-1's background all-to-all pair (triple-
+// buffered wire slabs keep them independent). another(r) decides whether
+// round r runs, identically on every rank: it is asked for round 0 before
+// the loop, and for round r+1 after joining exchange r-1 and before
+// starting exchange r — so a decision that is itself a collective never
+// overlaps the background all-to-all on the same Comm. The freeze point at
+// the end resolves the thresholds and packs the pruned owned shards into
+// immutable PackedStores.
+//
+// reptile-lint:build
+func (ctx *rankCtx) buildSpectrum(retain bool, supply func(round int) ([]reads.Read, error), another func(round int) (bool, error)) error {
+	b := ctx.newSpecBuilder(retain)
+	more, err := another(0)
+	if err != nil {
 		return err
 	}
-	for round := int64(0); round < maxRounds; round++ {
-		lo := int(round) * chunk
-		hi := lo + chunk
-		if lo > len(ctx.myReads) {
-			lo = len(ctx.myReads)
+	var inflight *exchangeJob
+	for round := 0; more; round++ {
+		batch, err := supply(round)
+		if err != nil {
+			return err
 		}
-		if hi > len(ctx.myReads) {
-			hi = len(ctx.myReads)
-		}
-		b.extract(ctx.myReads[lo:hi])
+		b.extract(batch)
 		b.fold()
 		b.observeRound()
-		bufsK, bufsT := b.encode(int(round) % 3)
-		if err := joinInflight(); err != nil {
+		bufsK, bufsT := b.encode(round % 3)
+		if inflight != nil {
+			if err := b.join(inflight); err != nil {
+				return err
+			}
+		}
+		if more, err = another(round + 1); err != nil {
 			return err
 		}
 		inflight = b.startExchange(bufsK, bufsT)
 	}
-	if err := joinInflight(); err != nil {
-		return err
+	if inflight != nil {
+		if err := b.join(inflight); err != nil {
+			return err
+		}
 	}
 	if err := ctx.resolveThresholds(); err != nil {
 		return err

@@ -217,7 +217,7 @@ type SnapshotOptions struct {
 	Dir string
 	// Path, when set, bypasses the content-hash cache and names the
 	// per-rank files directly as "<Path>.r<rank>.rsnap" — the explicit
-	// form behind reptile-correct -snapshot and reptile-spectrum -save.
+	// form behind reptile-correct -snapshot and reptile-spectrum build.
 	// Exactly one of Dir and Path must be set.
 	Path string
 	// InputDigest identifies the input reads for cache keying (Dir mode):

@@ -161,7 +161,7 @@ func batchSteps(src Source, opts Options) []phaseStep {
 // build's whole first source traversal.
 func streamingSteps(src Source, sink Sink, opts Options) []phaseStep {
 	return snapshotStep(opts, []phaseStep{
-		{phase: stats.PhaseSpectrum, run: func(ctx *rankCtx) error { return ctx.spectrumPassStreaming(src) }},
+		{phase: stats.PhaseSpectrum, run: func(ctx *rankCtx) error { return ctx.streamSpectrumPhase(src) }},
 		{phase: stats.PhaseExchange, run: (*rankCtx).postExchangePhase, after: afterConstruct},
 		{phase: stats.PhaseCorrect, run: func(ctx *rankCtx) error {
 			res, err := ctx.correctDriver(func(disp *lookupDispatcher) (reptile.Result, error) {

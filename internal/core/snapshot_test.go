@@ -172,7 +172,7 @@ func TestSnapshotCorruptionRebuilds(t *testing.T) {
 	}
 }
 
-// TestSnapshotExplicitPathMode covers the -snapshot/-save prefix form: the
+// TestSnapshotExplicitPathMode covers the explicit -snapshot prefix form: the
 // first run publishes `<prefix>.r<rank>.rsnap`, the second adopts them, and
 // a parameter change (different k) makes the stored header mismatch — a
 // miss that rebuilds and overwrites, never an error.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"reptile/internal/reads"
@@ -101,15 +100,40 @@ func (ctx *rankCtx) moreRounds(localMore bool) (bool, error) {
 	return max > 0, nil
 }
 
-// spectrumPassStreaming builds the distributed spectra chunk by chunk
-// without retaining reads: batch-reads semantics are inherent here. The
-// sharded extraction workers apply as in the in-memory engine, but the
-// exchange is NOT pipelined: each round ends with the open-ended moreRounds
-// allreduce, which must not overlap an in-flight background all-to-all on
-// the same Comm, so the exchange is joined inline.
+// sourceChunks hands one rank's source out chunk by chunk to the streaming
+// engine's open-ended round loops. Once the source is exhausted every
+// further round gets an empty chunk: the rank still joins each round's
+// collectives until no rank has work left (moreRounds).
+type sourceChunks struct {
+	br        BatchReader
+	exhausted bool
+}
+
+// next returns the source's next chunk, or an empty one after EOF.
+func (c *sourceChunks) next() ([]reads.Read, error) {
+	if c.exhausted {
+		return nil, nil
+	}
+	batch, err := c.br.NextBatch()
+	if err == io.EOF {
+		c.exhausted = true
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return batch, nil
+}
+
+// streamSpectrumPhase is the streaming engine's Steps II-III: the build
+// round loop fed one source chunk per round, with no read retained past its
+// round — batch-reads semantics are inherent here. A rank cannot know its
+// chunk count up front, so each round ends open-ended: round 0 always runs,
+// and after that the rounds continue while any rank's source still had a
+// chunk (moreRounds, asked between exchanges by the round loop).
 //
 // reptile-lint:build
-func (ctx *rankCtx) spectrumPassStreaming(src Source) error {
+func (ctx *rankCtx) streamSpectrumPhase(src Source) error {
 	if ctx.snapLoaded {
 		// Run-wide snapshot hit: the build's first source traversal is
 		// skipped entirely (ReadBases stays zero on a warm run).
@@ -120,53 +144,25 @@ func (ctx *rankCtx) spectrumPassStreaming(src Source) error {
 		return err
 	}
 	defer br.Close()
+	chunks := &sourceChunks{br: br}
+	supply := func(int) ([]reads.Read, error) {
+		batch, err := chunks.next()
+		for i := range batch {
+			ctx.st.ReadBases += int64(len(batch[i].Base))
+		}
+		return batch, err
+	}
+	another := func(round int) (bool, error) {
+		if round == 0 {
+			return true, nil
+		}
+		return ctx.moreRounds(!chunks.exhausted)
+	}
 	// The streaming pass retains nothing (retained tables would grow with
 	// the dataset, defeating the point); RetainReadKmers then only matters
 	// as the CacheRemote prerequisite, with the cache budget left to the
 	// caller.
-	b := ctx.newSpecBuilder(false)
-	exhausted := false
-	for round := 0; ; round++ {
-		var batch []reads.Read
-		if !exhausted {
-			batch, err = br.NextBatch()
-			if err == io.EOF {
-				exhausted = true
-				err = nil
-			}
-			if err != nil {
-				return err
-			}
-		}
-		for i := range batch {
-			ctx.st.ReadBases += int64(len(batch[i].Base))
-		}
-		b.extract(batch)
-		b.fold()
-		b.observeRound()
-		// Rotating the buffer set keeps a zero-copy peer that is still
-		// decoding the previous round's slab safe from this round's encode
-		// (see specBuilder.encK).
-		bufsK, bufsT := b.encode(round % 3)
-		if err := b.join(b.startExchange(bufsK, bufsT)); err != nil {
-			return err
-		}
-		more, err := ctx.moreRounds(!exhausted)
-		if err != nil {
-			return err
-		}
-		if !more {
-			break
-		}
-	}
-	if err := ctx.resolveThresholds(); err != nil {
-		return err
-	}
-	b.finish()
-	if ctx.opts.Snapshot != nil {
-		return ctx.saveSnapshot()
-	}
-	return nil
+	return ctx.buildSpectrum(false, supply, another)
 }
 
 // correctStreamLoop is the streaming engine's correct-step work function,
@@ -197,25 +193,22 @@ func (ctx *rankCtx) correctStreamLoop(src Source, sink Sink, disp *lookupDispatc
 			err = cerr
 		}
 	}()
-	exhausted := false
+	chunks := &sourceChunks{br: br}
 	for {
-		var batch []reads.Read
-		if !exhausted {
-			batch, err = br.NextBatch()
-			if err == io.EOF {
-				exhausted = true
-				err = nil
-			}
-			if err != nil {
-				return res, err
-			}
-		}
-		mine, err := ctx.balanceChunk(batch)
+		batch, err := chunks.next()
 		if err != nil {
 			return res, err
 		}
-		// balanceChunk's output is this rank's own storage, so the chunk is
-		// submitted resident: corrected in place, no copy.
+		// A source batch aliases the reader's storage, so balance clones the
+		// reads it keeps; its output is this rank's own storage, and the
+		// chunk is submitted resident: corrected in place, no copy. Order is
+		// deterministic within the chunk only: across chunks the sink
+		// output is not globally sorted by sequence number, since balancing
+		// interleaves the file order by design.
+		mine, err := ctx.balance(batch, true)
+		if err != nil {
+			return res, err
+		}
 		pend, err := sess.submitResident(mine)
 		if err != nil {
 			return res, err
@@ -231,7 +224,7 @@ func (ctx *rankCtx) correctStreamLoop(src Source, sink Sink, disp *lookupDispatc
 				return res, err
 			}
 		}
-		more, err := ctx.moreRounds(!exhausted)
+		more, err := ctx.moreRounds(!chunks.exhausted)
 		if err != nil {
 			return res, err
 		}
@@ -239,56 +232,6 @@ func (ctx *rankCtx) correctStreamLoop(src Source, sink Sink, disp *lookupDispatc
 			return res, nil
 		}
 	}
-}
-
-// balanceChunk redistributes one chunk of reads to owner ranks (or clones
-// them locally when balancing is off) and returns the reads this rank must
-// correct from this round.
-func (ctx *rankCtx) balanceChunk(batch []reads.Read) ([]reads.Read, error) {
-	if !ctx.opts.LoadBalance {
-		out := make([]reads.Read, len(batch))
-		for i := range batch {
-			out[i] = batch[i].Clone()
-		}
-		return out, nil
-	}
-	buckets := make([][]reads.Read, ctx.np)
-	var mine []reads.Read
-	for i := range batch {
-		owner := batch[i].OwnerRank(ctx.np)
-		if owner == ctx.rank {
-			mine = append(mine, batch[i].Clone())
-		} else {
-			buckets[owner] = append(buckets[owner], batch[i])
-			ctx.st.ReadsExchanged++
-		}
-	}
-	bufs := make([][]byte, ctx.np)
-	for r, b := range buckets {
-		if r != ctx.rank && len(b) > 0 {
-			bufs[r] = reads.EncodeBatch(b)
-			ctx.st.ExchangeBytes += int64(len(bufs[r]))
-		}
-	}
-	got, err := ctx.comm.Alltoallv(bufs)
-	if err != nil {
-		return nil, err
-	}
-	for r, buf := range got {
-		if r == ctx.rank || len(buf) == 0 {
-			continue
-		}
-		in, err := reads.DecodeBatch(buf)
-		if err != nil {
-			return nil, fmt.Errorf("decoding reads from rank %d: %w", r, err)
-		}
-		mine = append(mine, in...)
-	}
-	// Deterministic order within the chunk. Across chunks the sink output
-	// is NOT globally sorted by sequence number: balancing interleaves the
-	// file order by design.
-	sort.Slice(mine, func(i, j int) bool { return mine[i].Seq < mine[j].Seq })
-	return mine, nil
 }
 
 // RunStreaming executes the streaming pipeline with np goroutine ranks.

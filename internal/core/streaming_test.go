@@ -30,34 +30,46 @@ func TestStreamingMatchesInMemoryRun(t *testing.T) {
 	ds, opts := testDataset(t, 3000, 6000)
 	opts.Config.ChunkReads = 200 // several streaming rounds per rank
 
-	mem, err := Run(&MemorySource{Reads: ds.Reads}, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sinks, factory := collectSinks(4)
-	stream, err := RunStreaming(&MemorySource{Reads: ds.Reads}, 4, opts, factory)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name string
+		src  Source
+	}{
+		{"even", &MemorySource{Reads: ds.Reads}},
+		// Rank 0 streams every chunk while the other ranks hit EOF in
+		// round 0: the unequal-rounds case of the open-ended round loop.
+		{"skewed", &skewSource{rs: ds.Reads}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			mem, err := Run(c.src, 4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sinks, factory := collectSinks(4)
+			stream, err := RunStreaming(c.src, 4, opts, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	var streamed []readKey
-	for _, s := range sinks {
-		for i := range s.Reads {
-			streamed = append(streamed, readKey{s.Reads[i].Seq, dna.DecodeString(s.Reads[i].Base)})
-		}
-	}
-	sort.Slice(streamed, func(i, j int) bool { return streamed[i].seq < streamed[j].seq })
-	want := mem.Corrected()
-	if len(streamed) != len(want) {
-		t.Fatalf("streamed %d reads, in-memory %d", len(streamed), len(want))
-	}
-	for i := range want {
-		if streamed[i].seq != want[i].Seq || streamed[i].bases != dna.DecodeString(want[i].Base) {
-			t.Fatalf("read %d differs between streaming and in-memory runs", want[i].Seq)
-		}
-	}
-	if stream.Result.BasesCorrected != mem.Result.BasesCorrected {
-		t.Errorf("streaming corrected %d bases, in-memory %d", stream.Result.BasesCorrected, mem.Result.BasesCorrected)
+			var streamed []readKey
+			for _, s := range sinks {
+				for i := range s.Reads {
+					streamed = append(streamed, readKey{s.Reads[i].Seq, dna.DecodeString(s.Reads[i].Base)})
+				}
+			}
+			sort.Slice(streamed, func(i, j int) bool { return streamed[i].seq < streamed[j].seq })
+			want := mem.Corrected()
+			if len(streamed) != len(want) {
+				t.Fatalf("streamed %d reads, in-memory %d", len(streamed), len(want))
+			}
+			for i := range want {
+				if streamed[i].seq != want[i].Seq || streamed[i].bases != dna.DecodeString(want[i].Base) {
+					t.Fatalf("read %d differs between streaming and in-memory runs", want[i].Seq)
+				}
+			}
+			if stream.Result.BasesCorrected != mem.Result.BasesCorrected {
+				t.Errorf("streaming corrected %d bases, in-memory %d", stream.Result.BasesCorrected, mem.Result.BasesCorrected)
+			}
+		})
 	}
 }
 

@@ -415,6 +415,118 @@ func BatchSweep(sc Scale) (*Table, error) {
 	return t, nil
 }
 
+// Build-sweep sampling. starvedShare is the CPU share below which a timed
+// sample counts as starved by another process: uncontended, the ranks keep
+// their usable CPUs busy for most of the spectrum phase (80-99% measured on
+// a 2-CPU host, about 50% with a second process saturating it). maxRetakes
+// bounds how often a starved sample is taken again; cpuTick is the CPU
+// clock's sampling interval during a sample; buildReps is how many samples
+// each sweep row takes.
+const (
+	starvedShare = 0.6
+	maxRetakes   = 4
+	cpuTick      = 2 * time.Millisecond
+	buildReps    = 9
+)
+
+// buildSample runs the engine once for the build sweep and reports the
+// process CPU share across its spectrum phase: the process CPU (getrusage)
+// spent inside the phase's window over the window's wall times the usable
+// CPUs. A share below starvedShare means another process took the CPUs the
+// build needed — a full `go test ./...` runs other packages' tests beside
+// this one — so the spectrum wall says nothing about the build, and the
+// sample is retaken, at most maxRetakes times; the last sample stands when
+// every retake was starved. Where the platform reports no process CPU the
+// share is -1 and the first sample stands.
+func buildSample(ds *genome.Dataset, np int, opts core.Options, usable int) (*core.Output, float64, error) {
+	for try := 0; ; try++ {
+		// Start every sample from a collected heap, so no sample pays for
+		// the garbage of the run before it.
+		runtime.GC()
+		start := time.Now()
+		stop := make(chan struct{})
+		traced := make(chan []cpuSample, 1)
+		go func() { traced <- traceCPU(start, stop) }()
+		out, err := engineRun(ds, np, opts)
+		close(stop)
+		trace := <-traced
+		if err != nil {
+			return nil, 0, err
+		}
+		share := -1.0
+		if from, to := spectrumWindow(&out.Run); len(trace) > 0 && to > from {
+			cpu := cpuAt(trace, to) - cpuAt(trace, from)
+			share = cpu.Seconds() / ((to - from).Seconds() * float64(usable))
+		}
+		if share < 0 || share >= starvedShare || try == maxRetakes {
+			return out, share, nil
+		}
+	}
+}
+
+// cpuSample is one reading of the process CPU clock, at an offset from the
+// start of a run.
+type cpuSample struct{ at, cpu time.Duration }
+
+// traceCPU reads the process CPU clock every cpuTick from start until stop
+// closes, with a last reading at the close. It returns nil where the
+// platform reports no process CPU.
+func traceCPU(start time.Time, stop <-chan struct{}) []cpuSample {
+	tick := time.NewTicker(cpuTick)
+	defer tick.Stop()
+	var trace []cpuSample
+	for {
+		cpu, ok := processCPU()
+		if !ok {
+			return nil
+		}
+		trace = append(trace, cpuSample{time.Since(start), cpu})
+		select {
+		case <-stop:
+			cpu, _ := processCPU()
+			return append(trace, cpuSample{time.Since(start), cpu})
+		case <-tick.C:
+		}
+	}
+}
+
+// cpuAt interpolates the process CPU clock at offset t of a trace.
+func cpuAt(trace []cpuSample, t time.Duration) time.Duration {
+	i := sort.Search(len(trace), func(i int) bool { return trace[i].at >= t })
+	if i == 0 {
+		return trace[0].cpu
+	}
+	if i == len(trace) {
+		return trace[i-1].cpu
+	}
+	a, b := trace[i-1], trace[i]
+	return a.cpu + time.Duration(float64(b.cpu-a.cpu)*float64(t-a.at)/float64(b.at-a.at))
+}
+
+// spectrumWindow is a run's spectrum phase as offsets from the run's start,
+// from the first rank entering the phase to the last rank leaving it. Each
+// rank's phases run back to back, so a rank enters the spectrum phase once
+// its earlier phases' walls have passed.
+func spectrumWindow(run *stats.Run) (from, to time.Duration) {
+	for i := range run.Ranks {
+		w := &run.Ranks[i].Wall
+		enter := w[stats.PhaseRead] + w[stats.PhaseBalance] + w[stats.PhaseSnapshot]
+		if i == 0 || enter < from {
+			from = enter
+		}
+		to = max(to, enter+w[stats.PhaseSpectrum])
+	}
+	return from, to
+}
+
+// cpuShare formats a build sample's CPU share, "-" where it is unknown.
+func cpuShare(share float64) string {
+	if share < 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f%%", 100*share)
+}
+
 // Build is the supplementary experiment behind the parallel spectrum
 // construction: an engine sweep over the extraction-worker count (the same
 // Workers knob that sizes the correction pool) with the pipelined
@@ -435,11 +547,12 @@ func Build(sc Scale) (*Table, error) {
 		ID:    "build",
 		Title: fmt.Sprintf("Spectrum build: workers and store layouts, %d ranks (E.Coli)", np),
 		Note: "new to this implementation; enforced bars: byte-identical output for every worker count, " +
-			"workers>1 spectrum wall no worse than 0.8x of serial, >=1.5x lower MemBytes for the packed layout " +
-			"vs the mutable hash tables at equal entries, and the delta-varint exchange codec under 8 wire bytes " +
+			fmt.Sprintf("workers>1 spectrum wall no worse than 0.8x of serial (each row the median of %d samples interleaved ", buildReps) +
+			"across the rows; a sample whose process cpu share over the spectrum phase shows another process starved it " +
+			"is retaken), >=1.5x lower MemBytes for the packed layout vs the mutable hash tables at equal entries, and the delta-varint exchange codec under 8 wire bytes " +
 			"per spectrum entry (the fixed encoding it replaced shipped 12); the cpu-bound large-genome rows carry " +
 			"a >=1.3x workers=4 speedup bar, " + cpuBar,
-		Header: []string{"mode", "spectrum wall", "speedup", "mem at freeze", "owned bytes", "bytes/entry", "wire B/entry", "vs hash", "lookup", "bases corrected"},
+		Header: []string{"mode", "spectrum wall", "speedup", "cpu share", "mem at freeze", "owned bytes", "bytes/entry", "wire B/entry", "vs hash", "lookup", "bases corrected"},
 	}
 
 	// Engine sweep: the worker count shards extraction and folding; the
@@ -449,31 +562,46 @@ func Build(sc Scale) (*Table, error) {
 	// the sweep is CPU-bound and the workers=4 row measures real parallel
 	// speedup instead of exchange overlap.
 	sweep := func(label string, ds *genome.Dataset, np int, cpuBound bool) error {
-		var baseWall float64
-		var baseCorrected, baseChanged int64
-		for i, workers := range []int{1, 2, 4} {
+		workerCounts := []int{1, 2, 4}
+		opts := make([]core.Options, len(workerCounts))
+		for i, workers := range workerCounts {
 			h := core.Heuristics{BatchReads: true}
 			if workers > 1 {
 				h.Workers = workers
 				h.LookupBatch = 32
 			}
-			opts := optionsFor(sc, ds, h, true)
-			// Best-of-2: the walls under comparison are fractions of a second
-			// at bench scale, and the 0.8x no-regression bar is enforced, so
-			// a single noisy sample must not fail the run.
-			var out *core.Output
-			wall := 0.0
-			for rep := 0; rep < 2; rep++ {
-				o, err := engineRun(ds, np, opts)
+			opts[i] = optionsFor(sc, ds, h, true)
+		}
+		// Each row reports the median of buildReps samples, taken
+		// interleaved across the rows: the walls under comparison are
+		// fractions of a second at bench scale and drift by a third
+		// between identical uncontended runs on a small shared host, and
+		// the 0.8x no-regression bar is enforced, so neither a single
+		// sample nor a slow stretch of the host may decide a row.
+		type sample struct {
+			out         *core.Output
+			wall, share float64
+		}
+		samples := make([][]sample, len(workerCounts))
+		for rep := 0; rep < buildReps; rep++ {
+			for i, workers := range workerCounts {
+				o, s, err := buildSample(ds, np, opts[i], min(par, np*workers))
 				if err != nil {
 					return fmt.Errorf("%s workers=%d: %w", label, workers, err)
 				}
-				if w := o.Run.Wall[stats.PhaseSpectrum].Seconds(); out == nil || w < wall {
-					out, wall = o, w
-				}
+				o.ByRank = nil // the row keeps counters, not corrected reads
+				samples[i] = append(samples[i], sample{o, o.Run.Wall[stats.PhaseSpectrum].Seconds(), s})
 			}
+		}
+		var baseWall, baseShare float64
+		var baseCorrected, baseChanged int64
+		for i, workers := range workerCounts {
+			row := samples[i]
+			sort.Slice(row, func(a, b int) bool { return row[a].wall < row[b].wall })
+			med := row[len(row)/2]
+			out, wall, share := med.out, med.wall, med.share
 			if i == 0 {
-				baseWall = wall
+				baseWall, baseShare = wall, share
 				baseCorrected, baseChanged = out.Result.BasesCorrected, out.Result.ReadsChanged
 			} else if out.Result.BasesCorrected != baseCorrected || out.Result.ReadsChanged != baseChanged {
 				return fmt.Errorf("%s workers=%d: corrected %d bases (%d reads), workers=1 corrected %d (%d) — sharding changed the output",
@@ -484,8 +612,8 @@ func Build(sc Scale) (*Table, error) {
 				speedup = baseWall / wall
 			}
 			if workers > 1 && speedup < 0.8 {
-				return fmt.Errorf("%s workers=%d: spectrum wall %.3fs is %.2fx of serial's %.3fs — parallel build regression (bar: >=0.8x)",
-					label, workers, wall, speedup, baseWall)
+				return fmt.Errorf("%s workers=%d: spectrum wall %.3fs (cpu share %s) is %.2fx of serial's %.3fs (cpu share %s) — parallel build regression (bar: >=0.8x)",
+					label, workers, wall, cpuShare(share), speedup, baseWall, cpuShare(baseShare))
 			}
 			if cpuBound && workers == 4 && par >= 4 && speedup < 1.3 {
 				return fmt.Errorf("%s workers=4: cpu-bound speedup %.2fx on a %d-CPU host, bar is >=1.3x", label, speedup, par)
@@ -513,6 +641,7 @@ func Build(sc Scale) (*Table, error) {
 				fmt.Sprintf("%s workers=%d", label, workers),
 				secs(wall),
 				fmt.Sprintf("%.2fx", speedup),
+				cpuShare(share),
 				mib(out.Run.Max(func(r *stats.Rank) int64 { return r.MemAtFreeze })),
 				mib(owned),
 				fmt.Sprintf("%.1f", perEntry),
@@ -572,6 +701,7 @@ func Build(sc Scale) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			st.name,
+			"-",
 			"-",
 			"-",
 			"-",

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"reptile/internal/core"
 	"reptile/internal/reptile"
@@ -29,10 +30,11 @@ const (
 
 // Frame geometry.
 const (
-	frameHdrBytes = 5       // op u8 + len u32
-	maxFrameBytes = 1 << 28 // refuse absurd lengths before allocating
-	resultBytes   = 48      // 6 × u64 reptile.Result counters
-	errHdrBytes   = 5       // kind u8 + rank u32
+	frameHdrBytes  = 5       // op u8 + len u32
+	maxFrameBytes  = 1 << 28 // refuse absurd lengths before allocating
+	frameStepBytes = 1 << 16 // payload read granularity (see readFrame)
+	resultBytes    = 48      // 6 × u64 reptile.Result counters
+	errHdrBytes    = 5       // kind u8 + rank u32
 )
 
 // writeFrame emits one frame.
@@ -54,22 +56,33 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 }
 
 // readFrame reads one frame. io.EOF surfaces untouched so callers can tell
-// a clean disconnect from a torn frame.
+// a clean disconnect from a torn frame. The header's length is only a
+// claim: the payload is read in frameStepBytes steps and its buffer grows
+// with the bytes that actually arrive, so a peer that announces a large
+// frame and then stalls or hangs up costs one step, not the claimed size.
 func readFrame(r io.Reader) (op byte, payload []byte, err error) {
 	hdr := make([]byte, frameHdrBytes)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := int(binary.LittleEndian.Uint32(hdr[1:]))
 	if n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("serve: %d-byte frame exceeds the %d-byte maximum", n, maxFrameBytes)
 	}
 	if n == 0 {
 		return hdr[0], nil, nil
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("serve: torn %d-byte frame: %w", n, err)
+	for len(payload) < n {
+		step := min(n-len(payload), frameStepBytes)
+		payload = slices.Grow(payload, step)
+		got, err := io.ReadFull(r, payload[len(payload):len(payload)+step])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF && len(payload) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("serve: torn %d-byte frame: %w", n, err)
+		}
 	}
 	return hdr[0], payload, nil
 }

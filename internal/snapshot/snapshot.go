@@ -269,7 +269,7 @@ func CacheKey(inputDigest string, p Params) string {
 }
 
 // RankFile names one rank's snapshot under an explicit path prefix
-// (reptile-correct -snapshot, reptile-spectrum -save).
+// (reptile-correct -snapshot, reptile-spectrum build).
 func RankFile(prefix string, rank int) string {
 	return fmt.Sprintf("%s.r%d.rsnap", prefix, rank)
 }
