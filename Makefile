@@ -23,10 +23,11 @@ lint:
 	$(GO) run ./cmd/reptile-lint ./...
 
 ## lint-fixtures: only the analyzer suite's own golden-fixture tests — each
-## analyzer against its seeded-violation fixtures, the directive audit, and
-## the inventory pin. Fast enough to run on every analyzer edit.
+## analyzer against its seeded-violation fixtures, the fixtures' own
+## type-check, the typed Module's call/def-use table, the directive audit,
+## and the inventory pin. Fast enough to run on every analyzer edit.
 lint-fixtures:
-	$(GO) test -count=1 -run 'Golden|Inventory|Allow|FollowsCalls|PathScoping' ./internal/lint/
+	$(GO) test -count=1 -run 'Golden|Inventory|Allow|FollowsCalls|PathScoping|TypeCheck|ModuleTable|EnvOf|ResolveCall|FuncSignature|QualRef' ./internal/lint/
 
 vet:
 	$(GO) vet ./...
@@ -164,6 +165,7 @@ FUZZ_TARGETS ?= \
 	./internal/core/:FuzzBatchRespVarintCodec \
 	./internal/core/:FuzzSpecEntryCodec \
 	./internal/core/:FuzzDecodeAbortInfo \
+	./internal/core/:FuzzSessionWire \
 	./internal/snapshot/:FuzzSnapshotDecode \
 	./internal/serve/:FuzzServeReadFrame
 fuzz:

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -400,7 +401,8 @@ func runTCP(src core.Source, opts core.Options, rank int, addrs []string, deadli
 }
 
 // readWholeInput drains every shard of the source (rank by rank) into one
-// slice, for the corrections diff.
+// slice, for the corrections diff. Only io.EOF ends a shard: any other read
+// error is returned, so the diff never runs against truncated originals.
 func readWholeInput(src core.Source, np int) ([]reads.Read, error) {
 	var all []reads.Read
 	for rank := 0; rank < np; rank++ {
@@ -408,16 +410,26 @@ func readWholeInput(src core.Source, np int) ([]reads.Read, error) {
 		if err != nil {
 			return nil, err
 		}
-		for {
-			batch, err := br.NextBatch()
-			if err != nil {
-				break
-			}
-			all = append(all, batch...)
+		all, err = drainShard(all, br)
+		if err = errors.Join(err, br.Close()); err != nil {
+			return nil, err
 		}
-		br.Close()
 	}
 	return all, nil
+}
+
+// drainShard appends every batch br yields to all, up to io.EOF.
+func drainShard(all []reads.Read, br core.BatchReader) ([]reads.Read, error) {
+	for {
+		batch, err := br.NextBatch()
+		if err == io.EOF {
+			return all, nil
+		}
+		if err != nil {
+			return all, err
+		}
+		all = append(all, batch...)
+	}
 }
 
 func writeOutput(prefix string, batch []reads.Read) {

@@ -18,7 +18,7 @@
 //	0  the run completed and found nothing
 //	1  the run completed with one or more findings
 //	2  the run itself failed (bad working directory, unreadable module,
-//	   unparsable source)
+//	   unparsable source, a module package that does not type-check)
 //
 // so `go run ./cmd/reptile-lint ./...` gates CI directly.
 package main

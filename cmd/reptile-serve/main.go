@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -343,22 +344,25 @@ func runClient(addr, tenant, fasta, qual, out string, chunk int) {
 		time.Since(start).Round(time.Millisecond))
 }
 
-// readWholeInput drains the whole source as one rank's shard.
-func readWholeInput(src core.Source) ([]reads.Read, error) {
+// readWholeInput drains the whole source as one rank's shard. Only io.EOF
+// ends it: any other read error is returned rather than sending the service
+// a silently truncated input.
+func readWholeInput(src core.Source) (all []reads.Read, err error) {
 	br, err := src.Open(0, 1, 4096)
 	if err != nil {
 		return nil, err
 	}
-	defer br.Close()
-	var all []reads.Read
+	defer func() { err = errors.Join(err, br.Close()) }()
 	for {
 		batch, err := br.NextBatch()
+		if err == io.EOF {
+			return all, nil
+		}
 		if err != nil {
-			break
+			return nil, err
 		}
 		all = append(all, batch...)
 	}
-	return all, nil
 }
 
 func writeOutput(prefix string, batch []reads.Read) {

@@ -66,6 +66,7 @@ func (ctx *rankCtx) fail(phase string, err error) error {
 	ab = &AbortError{Rank: origin, Phase: phase, Cause: err.Error(), err: err}
 	payload := encodeAbortInfo(ab)
 	for r := 0; r < ctx.np; r++ {
+		// reptile-lint:allow errorflow best-effort broadcast: a peer that cannot take the frame is already gone, and ab is the error this rank returns
 		_ = ctx.e.SendAbort(r, payload)
 	}
 	return ab

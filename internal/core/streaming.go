@@ -250,8 +250,7 @@ func RunStreaming(src Source, np int, opts Options, sinks SinkFactory) (*Output,
 			// The sink failed before the rank ever joined the group; closing
 			// its endpoint surfaces the loss to peers as ErrPeerDown, the
 			// same as a rank dying pre-run.
-			conn.Close()
-			return nil, err
+			return nil, errors.Join(err, conn.Close())
 		}
 		return runRankStreaming(conn, src, opts, sink)
 	})

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
+	"reptile/internal/dna"
 	"reptile/internal/kmer"
+	"reptile/internal/reads"
+	"reptile/internal/reptile"
 	"reptile/internal/transport"
 )
 
@@ -234,6 +238,63 @@ func FuzzDecodeAbortInfo(f *testing.F) {
 		}
 		if a2.Rank != a.Rank || a2.Phase != a.Phase || a2.Cause != a.Cause {
 			t.Fatalf("abort record changed across round trip: %+v vs %+v", a2, a)
+		}
+	})
+}
+
+func FuzzSessionWire(f *testing.F) {
+	rs := []reads.Read{
+		{Seq: 1, Base: []dna.Base{0, 1, 2, 3}, Qual: []byte{30, 31, 32, 33}},
+		{Seq: 9, Base: []dna.Base{3}, Qual: []byte{2}},
+	}
+	res := reptile.Result{ReadsProcessed: 2, ReadsChanged: 1, BasesCorrected: 1, TilesSolid: 5, TilesRepaired: 1, TilesGivenUp: 0}
+	_, open := encodeSessionOpenFrame(7, "tenant-a")
+	_, chunk := encodeReadChunkFrame(8, 3, rs)
+	_, closeFrame := encodeSessionCloseFrame(9, 3)
+	for _, seed := range [][]byte{
+		open,
+		open[:len(open)-1],
+		chunk,
+		chunk[:len(chunk)-3],
+		closeFrame,
+		encodeSessionResp(8, sessOK, encodeCorrectedBody(res, rs)),
+		encodeSessionResp(7, sessOK, encodeOpenOKBody(3)),
+		encodeSessionResp(9, sessRejectCapacity, []byte("tenant cap full")),
+		encodeCorrectedBody(res, nil),
+		encodeOpenOKBody(1 << 31),
+	} {
+		f.Add(seed)
+	}
+	// Every session decoder sees the same bytes: each must either reject
+	// them or decode a value whose canonical re-encoding is the input
+	// itself, because every session frame has exactly one encoding.
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		same := func(frame string, back []byte) {
+			t.Helper()
+			if !bytes.Equal(back, payload) {
+				t.Fatalf("%s re-encodes to %x, decoded from %x", frame, back, payload)
+			}
+		}
+		if reqID, tenant, err := decodeSessionOpen(payload); err == nil {
+			_, back := encodeSessionOpenFrame(reqID, tenant)
+			same("session open", back)
+		}
+		if reqID, session, rs, err := decodeReadChunk(payload); err == nil {
+			_, back := encodeReadChunkFrame(reqID, session, rs)
+			same("read chunk", back)
+		}
+		if reqID, session, err := decodeSessionClose(payload); err == nil {
+			_, back := encodeSessionCloseFrame(reqID, session)
+			same("session close", back)
+		}
+		if reqID, status, body, err := decodeSessionResp(payload); err == nil {
+			same("session response", encodeSessionResp(reqID, status, body))
+		}
+		if res, rs, err := decodeCorrectedBody(payload); err == nil {
+			same("corrected body", encodeCorrectedBody(res, rs))
+		}
+		if session, err := decodeOpenOKBody(payload); err == nil {
+			same("open answer", encodeOpenOKBody(session))
 		}
 	})
 }

@@ -3,13 +3,13 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
-// Def-use over one function body, keyed by the parser's resolved
-// *ast.Object. The parser (invoked without SkipObjectResolution) links
-// every identifier use back to its declaration within the file, which is
-// exactly the scope discipline needed to tell a shadowing inner `err` from
-// a reuse of the outer one — no go/types required.
+// Def-use over one function body, keyed by the types.Object every
+// identifier denotes (Info.Defs at a declaration, Info.Uses at every other
+// mention): the checker's scoping tells a shadowing inner `err` from a reuse
+// of the outer one.
 
 // varUse aggregates the def-use facts for one function-local variable.
 type varUse struct {
@@ -24,27 +24,25 @@ type varUse struct {
 // defUses walks one function and groups every identifier by declaration.
 // Mentions inside nested func literals count: a variable read only by a
 // closure is still read.
-func (m *Module) defUses(pkg *Package, f *File, fn *ast.FuncDecl, env *funcEnv) map[*ast.Object]*varUse {
+func (m *Module) defUses(pkg *Package, fn *ast.FuncDecl) map[types.Object]*varUse {
 	if fn.Body == nil {
 		return nil
 	}
-	uses := map[*ast.Object]*varUse{}
-	params := map[*ast.Object]bool{}
-	markParams := func(fl *ast.FieldList) {
+	info := pkg.Info
+	uses := map[types.Object]*varUse{}
+	params := map[types.Object]bool{}
+	for _, fl := range []*ast.FieldList{fn.Recv, fn.Type.Params, fn.Type.Results} {
 		if fl == nil {
-			return
+			continue
 		}
 		for _, fld := range fl.List {
 			for _, n := range fld.Names {
-				if n.Obj != nil {
-					params[n.Obj] = true
+				if obj := info.Defs[n]; obj != nil {
+					params[obj] = true
 				}
 			}
 		}
 	}
-	markParams(fn.Recv)
-	markParams(fn.Type.Params)
-	markParams(fn.Type.Results)
 
 	// Pass 1: classify which identifier nodes are writes, and which writes
 	// carry an error value.
@@ -65,7 +63,7 @@ func (m *Module) defUses(pkg *Package, f *File, fn *ast.FuncDecl, env *funcEnv) 
 				// a, b := f(): only the position matching an error result is
 				// error-valued; without a resolved callee, assume the last.
 				call, isCall := t.Rhs[0].(*ast.CallExpr)
-				errValued := isCall && m.callReturnsError(pkg, f, env, call)
+				errValued := isCall && m.callReturnsError(pkg, call)
 				for i, lhs := range t.Lhs {
 					markWrite(lhs, errValued && i == len(t.Lhs)-1)
 				}
@@ -75,7 +73,7 @@ func (m *Module) defUses(pkg *Package, f *File, fn *ast.FuncDecl, env *funcEnv) 
 				errValued := false
 				if i < len(t.Rhs) {
 					if call, ok := t.Rhs[i].(*ast.CallExpr); ok {
-						errValued = m.callReturnsError(pkg, f, env, call)
+						errValued = m.callReturnsError(pkg, call)
 					}
 				}
 				markWrite(lhs, errValued)
@@ -85,7 +83,7 @@ func (m *Module) defUses(pkg *Package, f *File, fn *ast.FuncDecl, env *funcEnv) 
 				errValued := false
 				if i < len(t.Values) {
 					if call, ok := t.Values[i].(*ast.CallExpr); ok {
-						errValued = m.callReturnsError(pkg, f, env, call)
+						errValued = m.callReturnsError(pkg, call)
 					}
 				}
 				markWrite(id, errValued)
@@ -100,28 +98,22 @@ func (m *Module) defUses(pkg *Package, f *File, fn *ast.FuncDecl, env *funcEnv) 
 		return true
 	})
 
-	// Pass 2: tally every mention against its declaring object, restricted
-	// to objects declared inside this function (parameters included).
-	lo, hi := fn.Pos(), fn.End()
-	declaredHere := func(obj *ast.Object) bool {
-		d, ok := obj.Decl.(ast.Node)
-		if !ok {
-			return false
-		}
-		return d.Pos() >= lo && d.End() <= hi
-	}
+	// Pass 2: tally every mention against the variable it denotes,
+	// restricted to variables declared inside this function (parameters
+	// included).
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
-		if !ok || id.Obj == nil || id.Obj.Kind != ast.Var || id.Name == "_" {
+		if !ok || id.Name == "_" {
 			return true
 		}
-		if !declaredHere(id.Obj) {
+		v, ok := info.ObjectOf(id).(*types.Var)
+		if !ok || v.IsField() || v.Pkg() != pkg.Types || v.Pos() < fn.Pos() || v.Pos() >= fn.End() {
 			return true
 		}
-		u := uses[id.Obj]
+		u := uses[v]
 		if u == nil {
-			u = &varUse{name: id.Name, pos: id.Obj.Pos(), param: params[id.Obj]}
-			uses[id.Obj] = u
+			u = &varUse{name: id.Name, pos: v.Pos(), param: params[v]}
+			uses[v] = u
 		}
 		if writes[id] {
 			u.writes++

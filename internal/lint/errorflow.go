@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -40,30 +41,16 @@ var poisonFuncs = map[string]bool{
 
 // CheckModule implements ModuleAnalyzer.
 func (ef *ErrorFlow) CheckModule(m *Module, report func(*Package) *Reporter) {
-	// Sentinel declarers: the packages defining the typed protocol errors.
-	sentinels := map[string]bool{}
 	for _, pkg := range m.Pkgs {
-		names := m.typeNames[pkg.ImportPath]
-		if names["ProtocolError"] || names["AbortError"] {
-			sentinels[pkg.ImportPath] = true
-		}
-	}
-	for _, pkg := range m.Pkgs {
-		if !ef.active(m, pkg, sentinels) {
+		if !ef.active(pkg) {
 			continue
 		}
 		r := report(pkg)
 		for _, f := range pkg.SourceFiles() {
 			for _, decl := range f.AST.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+					ef.checkFunc(m, pkg, fd, r)
 				}
-				fi := m.FuncOf(pkg, fd)
-				if fi == nil {
-					continue
-				}
-				ef.checkFunc(m, fi, r)
 			}
 		}
 	}
@@ -71,13 +58,10 @@ func (ef *ErrorFlow) CheckModule(m *Module, report func(*Package) *Reporter) {
 
 // active reports whether pkg is on a typed-error path: it declares a
 // sentinel type or imports a package that does.
-func (ef *ErrorFlow) active(m *Module, pkg *Package, sentinels map[string]bool) bool {
-	if sentinels[pkg.ImportPath] {
-		return true
-	}
-	for _, f := range pkg.SourceFiles() {
-		for _, p := range m.imports[f] {
-			if sentinels[p] {
+func (ef *ErrorFlow) active(pkg *Package) bool {
+	for _, p := range append([]*types.Package{pkg.Types}, pkg.Types.Imports()...) {
+		for _, name := range []string{"ProtocolError", "AbortError"} {
+			if _, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
 				return true
 			}
 		}
@@ -86,10 +70,7 @@ func (ef *ErrorFlow) active(m *Module, pkg *Package, sentinels map[string]bool) 
 }
 
 // checkFunc applies the three leak checks to one function body.
-func (ef *ErrorFlow) checkFunc(m *Module, fi *FuncInfo, r *Reporter) {
-	pkg, file, fn := fi.Pkg, fi.File, fi.Decl
-	env := m.envOf(fi)
-
+func (ef *ErrorFlow) checkFunc(m *Module, pkg *Package, fn *ast.FuncDecl, r *Reporter) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.ExprStmt:
@@ -97,18 +78,18 @@ func (ef *ErrorFlow) checkFunc(m *Module, fi *FuncInfo, r *Reporter) {
 			if !ok {
 				return true
 			}
-			fi2 := m.resolveCall(pkg, file, env, call)
-			if fi2 == nil || !fi2.returnsError || poisonFuncs[fi2.Decl.Name.Name] {
+			f := callee(pkg.Info, call)
+			if !m.declared(f) || !returnsError(f) || poisonFuncs[f.Name()] {
 				return true
 			}
-			r.Reportf(call.Pos(), "call to %s drops its error result; handle it, return it, or mark reptile-lint:allow errorflow", fi2.String())
+			r.Reportf(call.Pos(), "call to %s drops its error result; handle it, return it, or mark reptile-lint:allow errorflow", funcString(f))
 		case *ast.AssignStmt:
-			ef.checkDiscards(m, fi, env, t, r)
+			ef.checkDiscards(m, pkg, t, r)
 		}
 		return true
 	})
 
-	for _, u := range m.defUses(pkg, file, fn, env) {
+	for _, u := range m.defUses(pkg, fn) {
 		if u.param || u.writes == 0 || u.reads > 0 {
 			continue
 		}
@@ -120,17 +101,16 @@ func (ef *ErrorFlow) checkFunc(m *Module, fi *FuncInfo, r *Reporter) {
 }
 
 // checkDiscards flags `_ =` discards of error values in one assignment.
-func (ef *ErrorFlow) checkDiscards(m *Module, fi *FuncInfo, env *funcEnv, as *ast.AssignStmt, r *Reporter) {
-	pkg, file := fi.Pkg, fi.File
+func (ef *ErrorFlow) checkDiscards(m *Module, pkg *Package, as *ast.AssignStmt, r *Reporter) {
 	if len(as.Rhs) == 1 && len(as.Lhs) > 1 {
 		// v, _ := f(): the trailing result of a single call.
 		call, ok := as.Rhs[0].(*ast.CallExpr)
-		if !ok || !m.callReturnsError(pkg, file, env, call) {
+		if !ok || !m.callReturnsError(pkg, call) {
 			return
 		}
 		last, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident)
 		if ok && last.Name == "_" {
-			r.Reportf(last.Pos(), "the error result of %s is discarded with _; handle it or mark reptile-lint:allow errorflow", callLabel(m, pkg, file, env, call))
+			r.Reportf(last.Pos(), "the error result of %s is discarded with _; handle it or mark reptile-lint:allow errorflow", callLabel(m, pkg, call))
 		}
 		return
 	}
@@ -141,8 +121,8 @@ func (ef *ErrorFlow) checkDiscards(m *Module, fi *FuncInfo, env *funcEnv, as *as
 		}
 		switch rhs := as.Rhs[i].(type) {
 		case *ast.CallExpr:
-			if m.callReturnsError(pkg, file, env, rhs) {
-				r.Reportf(id.Pos(), "the error result of %s is discarded with _; handle it or mark reptile-lint:allow errorflow", callLabel(m, pkg, file, env, rhs))
+			if m.callReturnsError(pkg, rhs) {
+				r.Reportf(id.Pos(), "the error result of %s is discarded with _; handle it or mark reptile-lint:allow errorflow", callLabel(m, pkg, rhs))
 			}
 		case *ast.Ident:
 			if errName(rhs.Name) {
@@ -152,11 +132,11 @@ func (ef *ErrorFlow) checkDiscards(m *Module, fi *FuncInfo, env *funcEnv, as *as
 	}
 }
 
-// callLabel names a call for a diagnostic: the resolved module function
-// when known, the printed callee otherwise.
-func callLabel(m *Module, pkg *Package, file *File, env *funcEnv, call *ast.CallExpr) string {
-	if fi := m.resolveCall(pkg, file, env, call); fi != nil {
-		return fi.String()
+// callLabel names a call for a diagnostic: the resolved function when the
+// module declares it, the printed callee otherwise.
+func callLabel(m *Module, pkg *Package, call *ast.CallExpr) string {
+	if f := callee(pkg.Info, call); m.declared(f) {
+		return funcString(f)
 	}
 	return render(pkg.Fset, call.Fun)
 }

@@ -2,7 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"regexp"
 )
 
@@ -14,8 +14,8 @@ import (
 // declared build/freeze phase that owns the store's lifecycle. Reads are
 // always allowed; immutable shared reads are the point of freezing.
 //
-// Like lockguard, the check is syntactic with intra-package type resolution
-// on the owning struct (the frozen field's own type may live in another
+// Like lockguard, selector chains resolve through the type checker to the
+// annotated field (the frozen field's own type may live in another
 // package), and test files are exempt: tests construct frozen stores
 // directly to probe edge cases.
 type FreezeGuard struct{}
@@ -43,56 +43,12 @@ var storeMutators = map[string]bool{
 	"Clear": true, "Prune": true, "Release": true,
 }
 
-// frozenFields indexes every struct declared in the package to its set of
-// frozen-annotated field names.
-func frozenFields(pkg *Package) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				frozen := map[string]bool{}
-				for _, fld := range st.Fields.List {
-					annotated := false
-					for _, cg := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-						if cg != nil && frozenRe.MatchString(cg.Text()) {
-							annotated = true
-						}
-					}
-					if !annotated {
-						continue
-					}
-					for _, name := range fld.Names {
-						frozen[name.Name] = true
-					}
-				}
-				if len(frozen) > 0 {
-					out[ts.Name.Name] = frozen
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Check implements Analyzer.
 func (fg *FreezeGuard) Check(pkg *Package, r *Reporter) {
-	frozen := frozenFields(pkg)
+	frozen := annotatedFields(pkg, frozenRe)
 	if len(frozen) == 0 {
 		return
 	}
-	structs := collectStructs(pkg)
 	for _, f := range pkg.SourceFiles() {
 		for _, decl := range f.AST.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -102,80 +58,13 @@ func (fg *FreezeGuard) Check(pkg *Package, r *Reporter) {
 			if fn.Doc != nil && buildPhaseRe.MatchString(fn.Doc.Text()) {
 				continue // the declared build phase owns the lifecycle
 			}
-			fg.checkFunc(pkg, structs, frozen, fn, r)
+			fg.checkFunc(pkg, frozen, fn, r)
 		}
 	}
 }
 
 // checkFunc flags frozen-field writes in one non-build function.
-func (fg *FreezeGuard) checkFunc(pkg *Package, structs map[string]*structInfo, frozen map[string]map[string]bool, fn *ast.FuncDecl, r *Reporter) {
-	env := map[string]typeRef{}
-	if fn.Recv != nil {
-		for _, fld := range fn.Recv.List {
-			ref := refOfExpr(fld.Type)
-			for _, name := range fld.Names {
-				env[name.Name] = ref
-			}
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, fld := range fn.Type.Params.List {
-			ref := refOfExpr(fld.Type)
-			for _, name := range fld.Names {
-				env[name.Name] = ref
-			}
-		}
-	}
-
-	// resolve follows receiver/param selector chains to a locally declared
-	// struct type, exactly as lockguard does.
-	var resolve func(e ast.Expr) (typeRef, *structInfo)
-	resolve = func(e ast.Expr) (typeRef, *structInfo) {
-		switch t := e.(type) {
-		case *ast.Ident:
-			ref, ok := env[t.Name]
-			if !ok {
-				return typeRef{}, nil
-			}
-			return ref, structs[ref.name]
-		case *ast.ParenExpr:
-			return resolve(t.X)
-		case *ast.StarExpr:
-			return resolve(t.X)
-		case *ast.IndexExpr:
-			ref, si := resolve(t.X)
-			if si == nil || !ref.elem {
-				return typeRef{}, nil
-			}
-			return typeRef{name: ref.name, known: true}, si
-		case *ast.SelectorExpr:
-			ref, si := resolve(t.X)
-			if si == nil || ref.elem {
-				return typeRef{}, nil
-			}
-			fref, ok := si.fields[t.Sel.Name]
-			if !ok || !fref.known {
-				return typeRef{}, nil
-			}
-			return fref, structs[fref.name]
-		}
-		return typeRef{}, nil
-	}
-
-	// frozenField reports whether sel denotes a frozen-annotated field of a
-	// locally resolved struct, returning the owning type's name.
-	frozenField := func(sel *ast.SelectorExpr) (string, bool) {
-		ref, si := resolve(sel.X)
-		if si == nil || ref.elem {
-			return "", false
-		}
-		fields, ok := frozen[ref.name]
-		if !ok || !fields[sel.Sel.Name] {
-			return "", false
-		}
-		return ref.name, true
-	}
-
+func (fg *FreezeGuard) checkFunc(pkg *Package, frozen map[*types.Var]fieldNote, fn *ast.FuncDecl, r *Reporter) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.AssignStmt:
@@ -184,10 +73,10 @@ func (fg *FreezeGuard) checkFunc(pkg *Package, structs map[string]*structInfo, f
 				if !ok {
 					continue
 				}
-				if owner, ok := frozenField(sel); ok {
+				if note, ok := frozen[fieldOf(pkg.Info, sel)]; ok {
 					r.Reportf(sel.Sel.Pos(),
 						"%s.%s is frozen, but %s assigns it without a reptile-lint:build directive",
-						owner, sel.Sel.Name, funcLabel(fn))
+						note.owner, sel.Sel.Name, funcLabel(pkg, fn))
 				}
 			}
 		case *ast.CallExpr:
@@ -199,10 +88,10 @@ func (fg *FreezeGuard) checkFunc(pkg *Package, structs map[string]*structInfo, f
 			if !ok {
 				return true
 			}
-			if owner, ok := frozenField(sel); ok {
+			if note, ok := frozen[fieldOf(pkg.Info, sel)]; ok {
 				r.Reportf(method.Sel.Pos(),
 					"%s.%s is frozen, but %s calls %s on it without a reptile-lint:build directive",
-					owner, sel.Sel.Name, funcLabel(fn), method.Sel.Name)
+					note.owner, sel.Sel.Name, funcLabel(pkg, fn), method.Sel.Name)
 			}
 		}
 		return true

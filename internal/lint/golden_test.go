@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -88,5 +89,39 @@ func TestAnalyzerInventory(t *testing.T) {
 	}
 	if modules != 3 {
 		t.Errorf("expected 3 module-wide analyzers, have %d", modules)
+	}
+}
+
+// TestFixtureTypeCheck requires every golden fixture to type-check, so a
+// fixture typo that starves the resolver fails here instead of quietly
+// turning a seeded violation into a clean pass. The one deliberate error is
+// errorflow's shadowed inner err, which is never read.
+func TestFixtureTypeCheck(t *testing.T) {
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := Load(root, []string{"./internal/lint/testdata/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) < 13 {
+		t.Fatalf("loaded only %d fixture packages", len(pkgs))
+	}
+	const deliberate = "errorflow/fixture.go:46:3: declared and not used: err"
+	found := false
+	for _, pkg := range pkgs {
+		for _, e := range pkg.TypeErrors {
+			pos := e.Fset.Position(e.Pos)
+			got := fmt.Sprintf("%s/%s:%d:%d: %s", filepath.Base(filepath.Dir(pos.Filename)), filepath.Base(pos.Filename), pos.Line, pos.Column, e.Msg)
+			if got == deliberate && !found {
+				found = true
+				continue
+			}
+			t.Errorf("fixture does not type-check: %s", got)
+		}
+	}
+	if !found {
+		t.Errorf("missing the deliberate type error %q", deliberate)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
 	"regexp"
 )
 
@@ -72,10 +73,10 @@ func (hp *HotPath) CheckModule(m *Module, report func(*Package) *Reporter) {
 		if root == "" {
 			root = it.fi.String()
 		}
-		for _, callee := range hp.analyze(m, it.fi, it.root, report(it.fi.Pkg)) {
-			if !seen[callee] {
-				seen[callee] = true
-				queue = append(queue, item{fi: callee, root: root})
+		for _, next := range hp.analyze(m, it.fi, it.root, report(it.fi.Pkg)) {
+			if !seen[next] {
+				seen[next] = true
+				queue = append(queue, item{fi: next, root: root})
 			}
 		}
 	}
@@ -84,8 +85,8 @@ func (hp *HotPath) CheckModule(m *Module, report func(*Package) *Reporter) {
 // analyze scans one function for per-iteration allocations and returns its
 // resolvable module-local callees for the worklist.
 func (hp *HotPath) analyze(m *Module, fi *FuncInfo, root string, r *Reporter) []*FuncInfo {
-	pkg, file, fn := fi.Pkg, fi.File, fi.Decl
-	env := m.envOf(fi)
+	pkg, fn := fi.Pkg, fi.Decl
+	zeroCap := zeroCapSlices(pkg.Info, fn.Body)
 	suffix := ""
 	if root != "" {
 		suffix = fmt.Sprintf(" (on the hot path of %s)", root)
@@ -113,7 +114,7 @@ func (hp *HotPath) analyze(m *Module, fi *FuncInfo, root string, r *Reporter) []
 
 	var callees []*FuncInfo
 	addCallee := func(call *ast.CallExpr) {
-		if fi2 := m.resolveCall(pkg, file, env, call); fi2 != nil {
+		if fi2 := m.resolveCall(pkg, call); fi2 != nil {
 			callees = append(callees, fi2)
 		}
 	}
@@ -170,12 +171,12 @@ func (hp *HotPath) analyze(m *Module, fi *FuncInfo, root string, r *Reporter) []
 				}
 			case *ast.AssignStmt:
 				if inLoop {
-					hp.checkAppend(t, r, suffix)
+					hp.checkAppend(pkg.Info, zeroCap, t, r, suffix)
 				}
 			case *ast.CallExpr:
 				addCallee(t)
 				if inLoop {
-					hp.checkCall(m, fi, env, t, r, suffix)
+					hp.checkCall(m, pkg, t, r, suffix)
 				}
 			}
 			return true
@@ -186,9 +187,8 @@ func (hp *HotPath) analyze(m *Module, fi *FuncInfo, root string, r *Reporter) []
 }
 
 // checkCall flags allocation-carrying calls inside a loop.
-func (hp *HotPath) checkCall(m *Module, fi *FuncInfo, env *funcEnv, call *ast.CallExpr, r *Reporter, suffix string) {
-	pkg, file := fi.Pkg, fi.File
-	switch fun := unwrapParens(call.Fun).(type) {
+func (hp *HotPath) checkCall(m *Module, pkg *Package, call *ast.CallExpr, r *Reporter, suffix string) {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch fun.Name {
 		case "make":
@@ -208,24 +208,18 @@ func (hp *HotPath) checkCall(m *Module, fi *FuncInfo, env *funcEnv, call *ast.Ca
 			r.Reportf(call.Pos(), "[]byte conversion in a loop copies and allocates every iteration%s", suffix)
 			return
 		}
-	case *ast.SelectorExpr:
-		if x, ok := fun.X.(*ast.Ident); ok {
-			if _, isLocal := env.vars[x.Name]; !isLocal && m.imports[file][x.Name] == "fmt" {
-				r.Reportf(call.Pos(), "fmt.%s in a loop boxes its arguments and allocates; move it off the hot path%s", fun.Sel.Name, suffix)
-				return
-			}
-		}
 	}
-	fi2 := m.resolveCall(pkg, file, env, call)
+	if f := callee(pkg.Info, call); f != nil && f.Pkg() != nil && f.Pkg().Path() == "fmt" && recvName(f) == "" {
+		r.Reportf(call.Pos(), "fmt.%s in a loop boxes its arguments and allocates; move it off the hot path%s", f.Name(), suffix)
+		return
+	}
+	fi2 := m.resolveCall(pkg, call)
 	if fi2 == nil {
 		return
 	}
+	sig := fi2.Func.Type().(*types.Signature)
 	for i, arg := range call.Args {
-		p, ok := paramAt(fi2, i)
-		if !ok || !p.iface {
-			continue
-		}
-		if id, isIdent := arg.(*ast.Ident); isIdent && id.Name == "nil" {
+		if !boxesArg(sig, i, call.Ellipsis.IsValid()) || pkg.Info.Types[arg].IsNil() {
 			continue
 		}
 		r.Reportf(arg.Pos(), "call to %s boxes this argument into an interface parameter every iteration; keep hot-loop calls monomorphic%s", fi2.String(), suffix)
@@ -233,9 +227,33 @@ func (hp *HotPath) checkCall(m *Module, fi *FuncInfo, env *funcEnv, call *ast.Ca
 	}
 }
 
+// boxesArg reports whether argument i of a call to sig lands in an empty
+// interface parameter (any, interface{}), folding the variadic tail unless
+// the call spreads a slice into it.
+func boxesArg(sig *types.Signature, i int, spread bool) bool {
+	params := sig.Params()
+	if params.Len() == 0 {
+		return false
+	}
+	var t types.Type
+	switch {
+	case sig.Variadic() && i >= params.Len()-1:
+		if spread {
+			return false
+		}
+		t = params.At(params.Len() - 1).Type().(*types.Slice).Elem()
+	case i < params.Len():
+		t = params.At(i).Type()
+	default:
+		return false
+	}
+	iface, ok := t.Underlying().(*types.Interface)
+	return ok && iface.Empty()
+}
+
 // checkAppend flags `x = append(x, ...)` in a loop when x was provably
 // declared without capacity, so every iteration risks a growth copy.
-func (hp *HotPath) checkAppend(as *ast.AssignStmt, r *Reporter, suffix string) {
+func (hp *HotPath) checkAppend(info *types.Info, zeroCap map[types.Object]bool, as *ast.AssignStmt, r *Reporter, suffix string) {
 	if as.Tok != token.ASSIGN && as.Tok != token.DEFINE {
 		return
 	}
@@ -244,58 +262,58 @@ func (hp *HotPath) checkAppend(as *ast.AssignStmt, r *Reporter, suffix string) {
 		if !ok {
 			continue
 		}
-		fun, ok := unwrapParens(call.Fun).(*ast.Ident)
+		fun, ok := ast.Unparen(call.Fun).(*ast.Ident)
 		if !ok || fun.Name != "append" || len(call.Args) == 0 {
 			continue
 		}
 		lhs, ok := as.Lhs[i].(*ast.Ident)
-		if !ok || lhs.Obj == nil {
+		if !ok {
 			continue
 		}
 		arg, ok := call.Args[0].(*ast.Ident)
-		if !ok || arg.Obj != lhs.Obj {
+		if !ok || info.ObjectOf(arg) != info.ObjectOf(lhs) {
 			continue
 		}
-		if declaredWithoutCap(arg.Obj) {
+		if zeroCap[info.ObjectOf(arg)] {
 			r.Reportf(as.Pos(), "append to %s grows from zero capacity every iteration; preallocate with make before the loop%s", lhs.Name, suffix)
 		}
 	}
 }
 
-// declaredWithoutCap reports whether obj's declaration is a slice with no
-// storage behind it: `var x []T` or `x := []T{}`. Anything else — a
-// parameter, a make with capacity, an unresolved expression — passes, so
-// the check only fires on provable zero-capacity growth.
-func declaredWithoutCap(obj *ast.Object) bool {
-	switch d := obj.Decl.(type) {
-	case *ast.ValueSpec:
-		if len(d.Values) == 0 {
-			at, ok := d.Type.(*ast.ArrayType)
-			return ok && at.Len == nil
-		}
-		for i, n := range d.Names {
-			if n.Obj == obj && i < len(d.Values) {
-				return isEmptySliceLit(d.Values[i])
+// zeroCapSlices collects the variables a function body declares as slices
+// with no storage behind them: `var x []T` or `x := []T{}`. Anything else —
+// a parameter, a make with capacity, an unresolved expression — stays out,
+// so the append check only fires on provable zero-capacity growth.
+func zeroCapSlices(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch d := n.(type) {
+		case *ast.ValueSpec:
+			at, _ := d.Type.(*ast.ArrayType)
+			for i, id := range d.Names {
+				bare := len(d.Values) == 0 && at != nil && at.Len == nil
+				if obj := info.Defs[id]; obj != nil && (bare || i < len(d.Values) && isEmptySliceLit(d.Values[i])) {
+					out[obj] = true
+				}
+			}
+		case *ast.AssignStmt:
+			if d.Tok != token.DEFINE || len(d.Lhs) != len(d.Rhs) {
+				return true
+			}
+			for i, lhs := range d.Lhs {
+				if id, ok := lhs.(*ast.Ident); ok && info.Defs[id] != nil && isEmptySliceLit(d.Rhs[i]) {
+					out[info.Defs[id]] = true
+				}
 			}
 		}
-	case *ast.AssignStmt:
-		for i, lhs := range d.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Obj != obj {
-				continue
-			}
-			if len(d.Rhs) == len(d.Lhs) {
-				return isEmptySliceLit(d.Rhs[i])
-			}
-			return false
-		}
-	}
-	return false
+		return true
+	})
+	return out
 }
 
 // isEmptySliceLit matches `[]T{}`.
 func isEmptySliceLit(e ast.Expr) bool {
-	lit, ok := unwrapParens(e).(*ast.CompositeLit)
+	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
 	if !ok || len(lit.Elts) != 0 {
 		return false
 	}
@@ -306,23 +324,8 @@ func isEmptySliceLit(e ast.Expr) bool {
 // isBasicLit reports whether e is a literal constant (string("x") and
 // friends allocate nothing new per iteration worth flagging).
 func isBasicLit(e ast.Expr) bool {
-	_, ok := unwrapParens(e).(*ast.BasicLit)
+	_, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok
-}
-
-// paramAt maps an argument index to its declared parameter, folding the
-// variadic tail.
-func paramAt(fi *FuncInfo, i int) (paramInfo, bool) {
-	if len(fi.params) == 0 {
-		return paramInfo{}, false
-	}
-	if i < len(fi.params) {
-		return fi.params[i], true
-	}
-	if fi.variadic {
-		return fi.params[len(fi.params)-1], true
-	}
-	return paramInfo{}, false
 }
 
 // typeLabel renders a composite literal's type for a diagnostic; untyped

@@ -14,21 +14,19 @@ func TestHotPathGolden(t *testing.T) {
 // boundaries: the only annotation lives in caller, the only allocation in
 // leaf, and the diagnostic lands in leaf naming caller's root.
 func TestHotPathFollowsCallsAcrossPackages(t *testing.T) {
-	load := func(dir, imp string) *Package {
-		t.Helper()
-		pkg, err := LoadDir(filepath.Join("testdata", "hotpath_xpkg", dir), imp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pkg == nil {
-			t.Fatalf("no Go files in testdata/hotpath_xpkg/%s", dir)
-		}
-		return pkg
+	root, err := ModuleRoot(".")
+	if err != nil {
+		t.Fatal(err)
 	}
-	caller := load("caller", "reptile/internal/lint/testdata/hotpath_xpkg/caller")
-	leaf := load("leaf", "reptile/internal/lint/testdata/hotpath_xpkg/leaf")
+	pkgs, err := Load(root, []string{"./internal/lint/testdata/hotpath_xpkg/..."})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages from testdata/hotpath_xpkg, want caller and leaf", len(pkgs))
+	}
 
-	diags := Run([]*Package{caller, leaf}, []Analyzer{NewHotPath()})
+	diags := Run(pkgs, []Analyzer{NewHotPath()})
 	if len(diags) != 1 {
 		t.Fatalf("expected exactly 1 diagnostic, got %d: %v", len(diags), diags)
 	}

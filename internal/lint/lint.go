@@ -11,10 +11,11 @@
 // registry-before-use ordering of message-plane tags (msgorder).
 //
 // The tool is standard-library only: packages are discovered by walking the
-// module tree go-list style via go/build, and every analysis is syntactic
-// (go/ast) with lightweight type resolution over declarations — intra-package
-// inference plus a module-local call graph (see typeinfo.go) — no
-// go/packages, no external analysis framework.
+// module tree go-list style via go/build, type-checked with go/types (module
+// packages from source, the standard library from the toolchain's export
+// data via go/importer), and analyzed over go/ast with the checker's
+// resolution (see typeinfo.go) — no go/packages, no external analysis
+// framework.
 //
 // Four comment directives tune the analyzers:
 //
@@ -38,13 +39,20 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Diagnostic is one analyzer finding.
@@ -86,12 +94,22 @@ type File struct {
 	Test bool // *_test.go
 }
 
-// Package is one directory's worth of parsed Go files.
+// Package is one directory's worth of parsed Go files, with the go/types
+// view of its non-test files. Test files are parsed for the syntactic
+// analyzers only.
 type Package struct {
 	Dir        string
 	ImportPath string
-	Fset       *token.FileSet
-	Files      []*File // GoFiles + TestGoFiles + XTestGoFiles, in that order
+	Fset       *token.FileSet // shared by every package of one load
+	Files      []*File        // GoFiles + TestGoFiles + XTestGoFiles, in that order
+	Types      *types.Package
+	Info       *types.Info
+	// TypeErrors are what the checker rejected. Only a testdata fixture
+	// may load with any: a module package that does not type-check fails
+	// the load.
+	TypeErrors []types.Error
+
+	load *loader // the load that parsed and checked this package
 }
 
 // SourceFiles returns the non-test files.
@@ -132,7 +150,7 @@ type Analyzer interface {
 // ModuleAnalyzer is an Analyzer that needs the whole loaded package set at
 // once — cross-package call graphs, registry ordering. CheckModule runs
 // exactly once per Run; diagnostics go through a per-package Reporter
-// obtained from report, because every Package owns its own FileSet. Check
+// obtained from report, so allow directives are matched per package. Check
 // is typically a no-op for these analyzers.
 type ModuleAnalyzer interface {
 	Analyzer
@@ -187,11 +205,11 @@ func modulePath(root string) (string, error) {
 }
 
 // Load expands go-list-style patterns (".", "./...", "./internal/core",
-// "./internal/...") relative to root into parsed packages. Directories named
-// testdata or vendor and hidden directories are skipped, matching the go
-// tool's conventions.
+// "./internal/...") relative to root into parsed, type-checked packages.
+// Directories named testdata or vendor and hidden directories are skipped,
+// matching the go tool's conventions.
 func Load(root string, patterns []string) ([]*Package, error) {
-	mod, err := modulePath(root)
+	l, err := newLoader(root)
 	if err != nil {
 		return nil, err
 	}
@@ -234,17 +252,19 @@ func Load(root string, patterns []string) ([]*Package, error) {
 	}
 	sort.Strings(sorted)
 
+	// Parse everything before checking anything, so a package imported by
+	// another in the set is the same *Package the set returns.
 	var pkgs []*Package
 	for _, dir := range sorted {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
 			return nil, err
 		}
-		imp := mod
+		imp := l.mod
 		if rel != "." {
-			imp = mod + "/" + filepath.ToSlash(rel)
+			imp = l.mod + "/" + filepath.ToSlash(rel)
 		}
-		pkg, err := LoadDir(dir, imp)
+		pkg, err := l.parse(dir, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -252,12 +272,144 @@ func Load(root string, patterns []string) ([]*Package, error) {
 			pkgs = append(pkgs, pkg)
 		}
 	}
+	for _, pkg := range pkgs {
+		if err := l.check(pkg); err != nil {
+			return nil, err
+		}
+	}
 	return pkgs, nil
 }
 
-// LoadDir parses one directory as a package with the given import path.
-// Returns (nil, nil) when the directory holds no buildable Go files.
+// LoadDir parses and type-checks one directory as a package with the given
+// import path; the module packages it imports are loaded from source
+// alongside it. Returns (nil, nil) when the directory holds no buildable Go
+// files.
 func LoadDir(dir, importPath string) (*Package, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	root, err := ModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	l, err := newLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.parse(dir, importPath)
+	if err != nil || pkg == nil {
+		return nil, err
+	}
+	if err := l.check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// loader is one load: every package shares fset, module packages import
+// each other from pkgs (parsing one from the module tree on first import
+// when the patterns did not name it), and the standard library comes from
+// the toolchain's export data.
+type loader struct {
+	root, mod string
+	fset      *token.FileSet
+	pkgs      map[string]*Package // by import path
+	std       types.Importer
+}
+
+// stdExports maps standard-library import paths to their export data files
+// ("" where go list has none). The files do not change while the process
+// runs, so every load shares the one table.
+var stdExports = struct {
+	sync.Mutex
+	files map[string]string
+}{files: map[string]string{}}
+
+func newLoader(root string) (*loader, error) {
+	mod, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
+	l := &loader{
+		root: root,
+		mod:  mod,
+		fset: token.NewFileSet(),
+		pkgs: map[string]*Package{},
+	}
+	l.std = importer.ForCompiler(l.fset, "gc", l.exportData)
+	return l, nil
+}
+
+// inModule reports whether an import path names a package of the module.
+func (l *loader) inModule(path string) bool {
+	return path == l.mod || strings.HasPrefix(path, l.mod+"/")
+}
+
+// exportData opens the toolchain's export data for a standard-library
+// package. A path not yet listed is looked up together with every other
+// unlisted import the load's parsed source files name, so a process runs
+// one `go list -export` for the first load, plus one per module package
+// parsed later that imports something new, rather than one per
+// standard-library package.
+func (l *loader) exportData(path string) (io.ReadCloser, error) {
+	stdExports.Lock()
+	defer stdExports.Unlock()
+	if _, listed := stdExports.files[path]; !listed {
+		want := []string{path}
+		for _, pkg := range l.pkgs {
+			for _, f := range pkg.SourceFiles() {
+				for _, imp := range f.AST.Imports {
+					p, err := strconv.Unquote(imp.Path.Value)
+					if _, listed := stdExports.files[p]; err == nil && !listed && !l.inModule(p) && p != "C" && p != "unsafe" {
+						want = append(want, p)
+					}
+				}
+			}
+		}
+		slices.Sort(want)
+		if err := l.listExports(slices.Compact(want)); err != nil {
+			return nil, err
+		}
+	}
+	file := stdExports.files[path]
+	if file == "" {
+		return nil, fmt.Errorf("lint: no export data for %s", path)
+	}
+	return os.Open(file)
+}
+
+// listExports records in stdExports the export data files of paths from
+// one `go list -export` run in the module root; a path go list cannot build
+// is recorded with no file. The caller holds stdExports.
+func (l *loader) listExports(paths []string) error {
+	args := []string{"list", "-e", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "-") {
+			args = append(args, p)
+		}
+	}
+	cmd := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...)
+	cmd.Dir = l.root
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("lint: go list -export: %w", err)
+	}
+	for _, p := range paths {
+		stdExports.files[p] = ""
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if path, file, ok := strings.Cut(line, "\t"); ok {
+			stdExports.files[path] = file
+		}
+	}
+	return nil
+}
+
+// parse parses one directory as a package with the given import path and
+// registers it with the load. Returns (nil, nil) when the directory holds
+// no buildable Go files.
+func (l *loader) parse(dir, importPath string) (*Package, error) {
 	bp, err := build.ImportDir(dir, 0)
 	if err != nil {
 		if _, ok := err.(*build.NoGoError); ok {
@@ -265,11 +417,11 @@ func LoadDir(dir, importPath string) (*Package, error) {
 		}
 		return nil, err
 	}
-	pkg := &Package{Dir: dir, ImportPath: importPath, Fset: token.NewFileSet()}
+	pkg := &Package{Dir: dir, ImportPath: importPath, Fset: l.fset, load: l}
 	add := func(names []string, test bool) error {
 		for _, name := range names {
 			path := filepath.Join(dir, name)
-			f, err := parser.ParseFile(pkg.Fset, path, nil, parser.ParseComments)
+			f, err := parser.ParseFile(l.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
@@ -286,7 +438,64 @@ func LoadDir(dir, importPath string) (*Package, error) {
 	if err := add(bp.XTestGoFiles, true); err != nil {
 		return nil, err
 	}
+	l.pkgs[importPath] = pkg
 	return pkg, nil
+}
+
+// check type-checks pkg's non-test files once, importing what they import
+// first. Type errors are recorded on the package and fail the load unless
+// the package lives under a testdata directory.
+func (l *loader) check(pkg *Package) error {
+	if pkg.Info == nil {
+		pkg.Info = &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		var files []*ast.File
+		for _, f := range pkg.SourceFiles() {
+			files = append(files, f.AST)
+		}
+		conf := types.Config{
+			Importer: l,
+			Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err.(types.Error)) },
+		}
+		pkg.Types, _ = conf.Check(pkg.ImportPath, l.fset, files, pkg.Info)
+	}
+	if len(pkg.TypeErrors) == 0 {
+		return nil
+	}
+	if rel, err := filepath.Rel(l.root, pkg.Dir); err == nil && slices.Contains(strings.Split(filepath.ToSlash(rel), "/"), "testdata") {
+		return nil
+	}
+	return fmt.Errorf("lint: %s does not type-check: %v", pkg.ImportPath, pkg.TypeErrors[0])
+}
+
+// Import implements types.Importer for the load.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if !l.inModule(path) {
+		return l.std.Import(path)
+	}
+	pkg := l.pkgs[path]
+	if pkg == nil {
+		dir := filepath.Join(l.root, filepath.FromSlash(strings.TrimPrefix(path, l.mod)))
+		p, err := l.parse(dir, path)
+		if err != nil {
+			return nil, err
+		}
+		if p == nil {
+			return nil, fmt.Errorf("lint: no Go files for %s in %s", path, dir)
+		}
+		pkg = p
+	}
+	if pkg.Info != nil && pkg.Types == nil {
+		return nil, fmt.Errorf("lint: import cycle through %s", path)
+	}
+	if err := l.check(pkg); err != nil {
+		return nil, err
+	}
+	return pkg.Types, nil
 }
 
 // Run applies every analyzer to every package — per-package Analyzers

@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
 )
@@ -16,14 +17,15 @@ import (
 // carries a "reptile-lint:holds <mu>" directive declaring that its callers
 // already hold the lock.
 //
-// The check is syntactic with intra-package type resolution: selector chains
-// rooted at a method receiver or a function parameter are resolved through
-// locally-declared struct types, so e.mbox.depth is recognized as an access
-// to mailbox.depth guarded by e.mbox.mu. Accesses the resolver cannot type
-// are skipped — the analyzer never guesses, so it has no false positives
-// from same-named fields on unrelated types. Test files are exempt: tests
-// routinely inspect state after goroutines are joined, where the
-// happens-before edge comes from the join, not the mutex.
+// Selector chains resolve through the type checker to the field they
+// select, so e.mbox.depth is recognized as an access to mailbox.depth
+// guarded by e.mbox.mu, and a same-named field on an unrelated type is
+// never mistaken for it. A chain rooted at a local the function allocated
+// itself (x := &T{...}, T{...}, or new(T)) is exempt: that value is under
+// construction, and no other goroutine holds it until the function hands
+// it over. Test files are exempt too: tests routinely inspect state after
+// goroutines are joined, where the happens-before edge comes from the
+// join, not the mutex.
 type LockGuard struct{}
 
 // NewLockGuard returns the analyzer with default configuration.
@@ -42,185 +44,46 @@ var (
 	holdsRe     = regexp.MustCompile(`reptile-lint:holds\s+(\w+)`)
 )
 
-// typeRef is the resolver's notion of a type: a named struct declared in
-// this package, possibly behind a pointer and/or one slice/array/map level.
-type typeRef struct {
-	name  string
-	elem  bool // slice/array/map: name is the element's struct type
-	known bool
-}
-
-// structInfo is one declared struct's fields and annotations.
-type structInfo struct {
-	fields  map[string]typeRef // field name -> field type
-	guarded map[string]string  // field name -> mutex field name
-	pos     map[string]token.Pos
-}
-
 // Check implements Analyzer.
 func (lg *LockGuard) Check(pkg *Package, r *Reporter) {
-	structs := collectStructs(pkg)
-
-	// Validate annotations: the named mutex must be a sibling field.
-	for _, si := range structs {
-		for field, mu := range si.guarded {
-			if _, ok := si.fields[mu]; !ok {
-				r.Reportf(si.pos[field], "field %s is 'guarded by %s' but the struct has no field %s", field, mu, mu)
+	// Validate annotations, test files included: the named mutex must be a
+	// sibling field.
+	eachStruct(pkg.Files, func(_ *ast.TypeSpec, st *ast.StructType) {
+		names := map[string]bool{}
+		for _, fld := range st.Fields.List {
+			for _, n := range fld.Names {
+				names[n.Name] = true
 			}
 		}
-	}
+		for _, fld := range st.Fields.List {
+			if mu, ok := annotation(fld, guardedByRe); ok && !names[mu] {
+				for _, n := range fld.Names {
+					r.Reportf(n.Pos(), "field %s is 'guarded by %s' but the struct has no field %s", n.Name, mu, mu)
+				}
+			}
+		}
+	})
 
+	guarded := annotatedFields(pkg, guardedByRe)
+	if len(guarded) == 0 {
+		return
+	}
 	for _, f := range pkg.SourceFiles() {
 		for _, decl := range f.AST.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				lg.checkFunc(pkg, guarded, fn, r)
 			}
-			lg.checkFunc(pkg, structs, fn, r)
-		}
-	}
-}
-
-// collectStructs indexes every struct type declared in the package,
-// including in test files so annotations there are validated too.
-func collectStructs(pkg *Package) map[string]*structInfo {
-	structs := map[string]*structInfo{}
-	for _, f := range pkg.Files {
-		for _, decl := range f.AST.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				si := &structInfo{
-					fields:  map[string]typeRef{},
-					guarded: map[string]string{},
-					pos:     map[string]token.Pos{},
-				}
-				for _, fld := range st.Fields.List {
-					ref := refOfExpr(fld.Type)
-					mu := guardAnnotation(fld)
-					for _, name := range fld.Names {
-						si.fields[name.Name] = ref
-						si.pos[name.Name] = name.Pos()
-						if mu != "" {
-							si.guarded[name.Name] = mu
-						}
-					}
-				}
-				structs[ts.Name.Name] = si
-			}
-		}
-	}
-	return structs
-}
-
-// guardAnnotation extracts the mutex name from a field's doc or line comment.
-func guardAnnotation(fld *ast.Field) string {
-	for _, cg := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
-		if cg == nil {
-			continue
-		}
-		if m := guardedByRe.FindStringSubmatch(cg.Text()); m != nil {
-			return m[1]
-		}
-	}
-	return ""
-}
-
-// refOfExpr maps a field/param type expression to a typeRef. Only locally
-// named types (optionally behind *, [], or map values) resolve; everything
-// else is unknown.
-func refOfExpr(e ast.Expr) typeRef {
-	elem := false
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.ArrayType:
-			elem = true
-			e = t.Elt
-		case *ast.MapType:
-			elem = true
-			e = t.Value
-		case *ast.Ident:
-			return typeRef{name: t.Name, elem: elem, known: true}
-		default:
-			return typeRef{}
 		}
 	}
 }
 
 // checkFunc verifies every guarded-field access in one function.
-func (lg *LockGuard) checkFunc(pkg *Package, structs map[string]*structInfo, fn *ast.FuncDecl, r *Reporter) {
-	env := map[string]typeRef{}
-	if fn.Recv != nil {
-		for _, fld := range fn.Recv.List {
-			ref := refOfExpr(fld.Type)
-			for _, name := range fld.Names {
-				env[name.Name] = ref
-			}
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, fld := range fn.Type.Params.List {
-			ref := refOfExpr(fld.Type)
-			for _, name := range fld.Names {
-				env[name.Name] = ref
-			}
-		}
-	}
-
+func (lg *LockGuard) checkFunc(pkg *Package, guarded map[*types.Var]fieldNote, fn *ast.FuncDecl, r *Reporter) {
 	holds := map[string]bool{}
 	if fn.Doc != nil {
 		for _, m := range holdsRe.FindAllStringSubmatch(fn.Doc.Text(), -1) {
 			holds[m[1]] = true
 		}
-	}
-
-	// resolve returns the struct type of expr, following receiver/param
-	// chains through locally declared field types.
-	var resolve func(e ast.Expr) (typeRef, *structInfo)
-	resolve = func(e ast.Expr) (typeRef, *structInfo) {
-		switch t := e.(type) {
-		case *ast.Ident:
-			ref, ok := env[t.Name]
-			if !ok {
-				return typeRef{}, nil
-			}
-			return ref, structs[ref.name]
-		case *ast.ParenExpr:
-			return resolve(t.X)
-		case *ast.StarExpr:
-			return resolve(t.X)
-		case *ast.IndexExpr:
-			ref, si := resolve(t.X)
-			if si == nil || !ref.elem {
-				return typeRef{}, nil
-			}
-			return typeRef{name: ref.name, known: true}, si
-		case *ast.SelectorExpr:
-			ref, si := resolve(t.X)
-			if si == nil || ref.elem {
-				return typeRef{}, nil
-			}
-			fref, ok := si.fields[t.Sel.Name]
-			if !ok || !fref.known {
-				return typeRef{}, nil
-			}
-			return fref, structs[fref.name]
-		}
-		return typeRef{}, nil
 	}
 
 	// Pass 1: collect the set of mutexes this function locks, as rendered
@@ -240,31 +103,158 @@ func (lg *LockGuard) checkFunc(pkg *Package, structs map[string]*structInfo, fn 
 	})
 
 	// Pass 2: flag guarded-field accesses with no matching lock in scope.
+	fresh := freshLocals(pkg.Info, fn.Body)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
 		}
-		ref, si := resolve(sel.X)
-		if si == nil || ref.elem {
+		g, ok := guarded[fieldOf(pkg.Info, sel)]
+		if !ok || holds[g.arg] || fresh[pkg.Info.ObjectOf(chainRoot(sel))] {
 			return true
 		}
-		mu, guarded := si.guarded[sel.Sel.Name]
-		if !guarded {
-			return true
-		}
-		if holds[mu] {
-			return true
-		}
-		guardExpr := render(pkg.Fset, sel.X) + "." + mu
+		guardExpr := render(pkg.Fset, sel.X) + "." + g.arg
 		if locked[guardExpr] {
 			return true
 		}
 		r.Reportf(sel.Sel.Pos(),
 			"%s.%s is guarded by %s, but %s neither locks it nor declares reptile-lint:holds %s",
-			ref.name, sel.Sel.Name, guardExpr, funcLabel(fn), mu)
+			g.owner, sel.Sel.Name, guardExpr, funcLabel(pkg, fn), g.arg)
 		return true
 	})
+}
+
+// freshLocals collects the locals a function body binds with := to a value
+// it allocates itself.
+func freshLocals(info *types.Info, body *ast.BlockStmt) map[types.Object]bool {
+	out := map[types.Object]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.DEFINE || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && info.Defs[id] != nil && allocates(info, as.Rhs[i]) {
+				out[info.Defs[id]] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// allocates reports whether e is a fresh allocation: T{...}, &T{...}, or
+// new(T).
+func allocates(info *types.Info, e ast.Expr) bool {
+	switch t := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return true
+	case *ast.UnaryExpr:
+		_, lit := t.X.(*ast.CompositeLit)
+		return lit && t.Op == token.AND
+	case *ast.CallExpr:
+		id, _ := t.Fun.(*ast.Ident)
+		b, _ := info.Uses[id].(*types.Builtin)
+		return b != nil && b.Name() == "new"
+	}
+	return false
+}
+
+// chainRoot returns the identifier a selector chain (a.b[i].c) starts at,
+// or nil when it starts at a call or another expression.
+func chainRoot(e ast.Expr) *ast.Ident {
+	for {
+		switch t := e.(type) {
+		case *ast.Ident:
+			return t
+		case *ast.SelectorExpr:
+			e = t.X
+		case *ast.IndexExpr:
+			e = t.X
+		case *ast.StarExpr:
+			e = t.X
+		case *ast.ParenExpr:
+			e = t.X
+		default:
+			return nil
+		}
+	}
+}
+
+// fieldNote is one annotated struct field: the declaring struct's name and
+// the annotation's argument (the mutex of a "guarded by"; "" when the
+// annotation takes none).
+type fieldNote struct {
+	owner string
+	arg   string
+}
+
+// annotatedFields maps every field of a package-level struct in pkg's
+// source files whose doc or line comment matches re to its note, keyed by
+// the field's types object so any selector that reaches it finds it.
+func annotatedFields(pkg *Package, re *regexp.Regexp) map[*types.Var]fieldNote {
+	out := map[*types.Var]fieldNote{}
+	eachStruct(pkg.SourceFiles(), func(ts *ast.TypeSpec, st *ast.StructType) {
+		for _, fld := range st.Fields.List {
+			arg, ok := annotation(fld, re)
+			if !ok {
+				continue
+			}
+			for _, n := range fld.Names {
+				if v, ok := pkg.Info.Defs[n].(*types.Var); ok {
+					out[v] = fieldNote{owner: ts.Name.Name, arg: arg}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// eachStruct calls visit for every package-level struct type declared in
+// files.
+func eachStruct(files []*File, visit func(*ast.TypeSpec, *ast.StructType)) {
+	for _, f := range files {
+		for _, decl := range f.AST.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						visit(ts, st)
+					}
+				}
+			}
+		}
+	}
+}
+
+// annotation reports whether a field's doc or line comment matches re,
+// with re's first submatch when it has one.
+func annotation(fld *ast.Field, re *regexp.Regexp) (string, bool) {
+	for _, cg := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := re.FindStringSubmatch(cg.Text()); m != nil {
+			if len(m) > 1 {
+				return m[1], true
+			}
+			return "", true
+		}
+	}
+	return "", false
+}
+
+// fieldOf returns the struct field a selector expression selects, or nil
+// when it selects a method or a package member.
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+		v, _ := info.Uses[sel.Sel].(*types.Var)
+		return v
+	}
+	return nil
 }
 
 // render prints an expression back to source form for guard matching.
@@ -278,11 +268,10 @@ func render(fset *token.FileSet, e ast.Expr) string {
 
 // funcLabel names a function for diagnostics ("method mailbox.take" or
 // "function CloseGroup").
-func funcLabel(fn *ast.FuncDecl) string {
-	if fn.Recv != nil && len(fn.Recv.List) > 0 {
-		ref := refOfExpr(fn.Recv.List[0].Type)
-		if ref.known {
-			return "method " + ref.name + "." + fn.Name.Name
+func funcLabel(pkg *Package, fn *ast.FuncDecl) string {
+	if f, ok := pkg.Info.Defs[fn.Name].(*types.Func); ok {
+		if recv := recvName(f); recv != "" {
+			return "method " + recv + "." + fn.Name.Name
 		}
 	}
 	return "function " + fn.Name.Name

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 // MsgOrder checks the message plane's registration discipline module-wide:
@@ -13,11 +14,11 @@ import (
 // request specs must register the matching response specs (the Caller's
 // window has nothing to match otherwise).
 //
-// The model is name-based, same horizon as the rest of the suite: a "tag"
-// is a constant whose declared type is a module type named Tag, and a
-// "spec" is a composite literal of a module type named Spec declared next
-// to a Tag type. Tags passed through variables or computed expressions are
-// outside the horizon and pass silently.
+// A "tag" is a package-level constant whose type is a named type Tag
+// declared in the module, and a "spec" is a composite literal of a
+// named type Spec declared next to a Tag type. Tags passed through
+// variables or computed expressions are outside the horizon and pass
+// silently.
 type MsgOrder struct{}
 
 // NewMsgOrder returns the analyzer with default configuration.
@@ -34,15 +35,9 @@ func (mo *MsgOrder) Doc() string {
 // Check implements Analyzer; all work happens module-wide in CheckModule.
 func (mo *MsgOrder) Check(pkg *Package, r *Reporter) {}
 
-// tagKey names one tag constant module-wide.
-type tagKey struct {
-	pkg  string // import path of the declaring package
-	name string
-}
-
 // msgSpec is one Spec composite literal found in the module.
 type msgSpec struct {
-	tag    tagKey
+	tag    *types.Const
 	dir    string // terminal name of the Dir field value; "" when absent
 	direct bool
 	atInit bool // registered from init, directly or one call deep
@@ -53,7 +48,7 @@ type msgSpec struct {
 // msgUse is one Send/Recv/Handle call referencing a tag constant.
 type msgUse struct {
 	kind string // "Send" | "Recv" | "Handle"
-	tag  tagKey
+	tag  *types.Const
 	pkg  *Package
 	pos  token.Pos
 }
@@ -64,8 +59,8 @@ func (mo *MsgOrder) CheckModule(m *Module, report func(*Package) *Reporter) {
 	specs := mo.collectSpecs(m, tags)
 	uses := mo.collectUses(m, tags)
 
-	registered := map[tagKey]*msgSpec{}
-	anySpec := map[tagKey]*msgSpec{}
+	registered := map[*types.Const]*msgSpec{}
+	anySpec := map[*types.Const]*msgSpec{}
 	for _, s := range specs {
 		if s.atInit && registered[s.tag] == nil {
 			registered[s.tag] = s
@@ -80,20 +75,20 @@ func (mo *MsgOrder) CheckModule(m *Module, report func(*Package) *Reporter) {
 		spec := registered[u.tag]
 		if spec == nil {
 			if late := anySpec[u.tag]; late != nil {
-				r.Reportf(u.pos, "tag %s is registered only outside init; %s may run before the registry knows it", u.tag.name, u.kind)
+				r.Reportf(u.pos, "tag %s is registered only outside init; %s may run before the registry knows it", u.tag.Name(), u.kind)
 			} else {
-				r.Reportf(u.pos, "tag %s is used by %s but never registered with the tag registry", u.tag.name, u.kind)
+				r.Reportf(u.pos, "tag %s is used by %s but never registered with the tag registry", u.tag.Name(), u.kind)
 			}
 			continue
 		}
 		switch u.kind {
 		case "Handle":
 			if spec.direct {
-				r.Reportf(u.pos, "Direct tag %s must not get a Router handler; Direct frames bypass the router demux", u.tag.name)
+				r.Reportf(u.pos, "Direct tag %s must not get a Router handler; Direct frames bypass the router demux", u.tag.Name())
 			}
 		case "Recv":
 			if !spec.direct {
-				r.Reportf(u.pos, "tag %s is router-owned (not Direct) but taken with a blocking Recv; only the router may demux it", u.tag.name)
+				r.Reportf(u.pos, "tag %s is router-owned (not Direct) but taken with a blocking Recv; only the router may demux it", u.tag.Name())
 			}
 		}
 	}
@@ -101,10 +96,10 @@ func (mo *MsgOrder) CheckModule(m *Module, report func(*Package) *Reporter) {
 	// Request/response pairing, per tag-declaring package: a Caller window
 	// matches responses to requests, so registering one side without the
 	// other leaves the window unmatchable.
-	byPkg := map[string][]*msgSpec{}
+	byPkg := map[*types.Package][]*msgSpec{}
 	for _, s := range specs {
 		if s.atInit {
-			byPkg[s.tag.pkg] = append(byPkg[s.tag.pkg], s)
+			byPkg[s.tag.Pkg()] = append(byPkg[s.tag.Pkg()], s)
 		}
 	}
 	for _, group := range byPkg {
@@ -119,71 +114,63 @@ func (mo *MsgOrder) CheckModule(m *Module, report func(*Package) *Reporter) {
 		}
 		for _, s := range group {
 			if s.dir == "DirRequest" && nResp == 0 {
-				report(s.pkg).Reportf(s.pos, "registers request tag %s with no response tag in %s; the caller window has nothing to match", s.tag.name, s.tag.pkg)
+				report(s.pkg).Reportf(s.pos, "registers request tag %s with no response tag in %s; the caller window has nothing to match", s.tag.Name(), s.tag.Pkg().Path())
 			}
 			if s.dir == "DirResponse" && nReq == 0 {
-				report(s.pkg).Reportf(s.pos, "registers response tag %s with no request tag in %s; nothing can await it", s.tag.name, s.tag.pkg)
+				report(s.pkg).Reportf(s.pos, "registers response tag %s with no request tag in %s; nothing can await it", s.tag.Name(), s.tag.Pkg().Path())
 			}
 		}
 	}
 }
 
-// collectTagConsts indexes every constant whose declared type is a module
-// type named Tag, tracking the implicit type inheritance of iota groups.
-func (mo *MsgOrder) collectTagConsts(m *Module) map[tagKey]bool {
-	tags := map[tagKey]bool{}
+// collectTagConsts indexes every package-level constant of a Tag type.
+func (mo *MsgOrder) collectTagConsts(m *Module) map[*types.Const]bool {
+	tags := map[*types.Const]bool{}
 	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.SourceFiles() {
-			for _, decl := range f.AST.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.CONST {
-					continue
-				}
-				var cur ast.Expr
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					switch {
-					case vs.Type != nil:
-						cur = vs.Type
-					case len(vs.Values) > 0:
-						cur = nil // explicit untyped value resets the group type
-					}
-					if cur == nil {
-						continue
-					}
-					ref := m.qualRefOf(pkg, f, cur)
-					if !ref.known || ref.elem || ref.t.Name != "Tag" {
-						continue
-					}
-					for _, n := range vs.Names {
-						tags[tagKey{pkg.ImportPath, n.Name}] = true
-					}
-				}
+		scope := pkg.Types.Scope()
+		for _, name := range scope.Names() {
+			if c, ok := scope.Lookup(name).(*types.Const); ok && m.namedType(c.Type(), "Tag") != nil {
+				tags[c] = true
 			}
 		}
 	}
 	return tags
 }
 
-// specType reports whether a composite literal's type is a module type
-// named Spec whose declaring package also declares Tag — the signature of
-// a message-plane spec table, as opposed to unrelated Spec types.
-func (mo *MsgOrder) specType(m *Module, pkg *Package, f *File, e ast.Expr) bool {
-	ref := m.qualRefOf(pkg, f, e)
-	return ref.known && ref.t.Name == "Spec" && m.typeNames[ref.t.Pkg]["Tag"]
+// namedType returns the type name t denotes when t is a named type called
+// name declared in the module, nil otherwise.
+func (m *Module) namedType(t types.Type, name string) *types.TypeName {
+	if typeName(t) != name {
+		return nil
+	}
+	for tp := range m.local {
+		if tn, ok := tp.Scope().Lookup(name).(*types.TypeName); ok && types.Identical(tn.Type(), t) {
+			return tn
+		}
+	}
+	return nil
+}
+
+// isSpec reports whether a composite literal's type is a Spec whose
+// declaring package also declares Tag — the signature of a message-plane
+// spec table, as opposed to unrelated Spec types.
+func (mo *MsgOrder) isSpec(m *Module, pkg *Package, lit *ast.CompositeLit) bool {
+	tn := m.namedType(pkg.Info.TypeOf(lit), "Spec")
+	if tn == nil {
+		return false
+	}
+	_, ok := tn.Pkg().Scope().Lookup("Tag").(*types.TypeName)
+	return ok
 }
 
 // collectSpecs finds every Spec composite literal and whether it is
 // registered during init: inside a Register* call in an init function or
 // in a function an init calls directly.
-func (mo *MsgOrder) collectSpecs(m *Module, tags map[tagKey]bool) []*msgSpec {
+func (mo *MsgOrder) collectSpecs(m *Module, tags map[*types.Const]bool) []*msgSpec {
 	var specs []*msgSpec
 	for _, pkg := range m.Pkgs {
 		// Functions reachable from init in one step.
-		initCalled := map[string]bool{"init": true}
+		initCalled := map[types.Object]bool{}
 		for _, f := range pkg.SourceFiles() {
 			for _, decl := range f.AST.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -192,8 +179,8 @@ func (mo *MsgOrder) collectSpecs(m *Module, tags map[tagKey]bool) []*msgSpec {
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if call, ok := n.(*ast.CallExpr); ok {
-						if id, ok := unwrapParens(call.Fun).(*ast.Ident); ok {
-							initCalled[id.Name] = true
+						if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+							initCalled[pkg.Info.Uses[id]] = true
 						}
 					}
 					return true
@@ -203,13 +190,13 @@ func (mo *MsgOrder) collectSpecs(m *Module, tags map[tagKey]bool) []*msgSpec {
 		for _, f := range pkg.SourceFiles() {
 			for _, decl := range f.AST.Decls {
 				fd, isFunc := decl.(*ast.FuncDecl)
-				atInit := isFunc && fd.Recv == nil && initCalled[fd.Name.Name]
+				atInit := isFunc && fd.Recv == nil && (fd.Name.Name == "init" || initCalled[pkg.Info.Defs[fd.Name]])
 				ast.Inspect(decl, func(n ast.Node) bool {
 					lit, ok := n.(*ast.CompositeLit)
-					if !ok || lit.Type == nil || !mo.specType(m, pkg, f, lit.Type) {
+					if !ok || !mo.isSpec(m, pkg, lit) {
 						return true
 					}
-					if s := mo.parseSpec(m, pkg, f, lit, tags); s != nil {
+					if s := mo.parseSpec(pkg, lit, tags); s != nil {
 						s.atInit = atInit
 						specs = append(specs, s)
 					}
@@ -223,7 +210,7 @@ func (mo *MsgOrder) collectSpecs(m *Module, tags map[tagKey]bool) []*msgSpec {
 
 // parseSpec extracts the Tag, Dir, and Direct fields from a keyed Spec
 // literal; nil when the Tag field is not a known tag constant.
-func (mo *MsgOrder) parseSpec(m *Module, pkg *Package, f *File, lit *ast.CompositeLit, tags map[tagKey]bool) *msgSpec {
+func (mo *MsgOrder) parseSpec(pkg *Package, lit *ast.CompositeLit, tags map[*types.Const]bool) *msgSpec {
 	s := &msgSpec{pkg: pkg, pos: lit.Pos()}
 	for _, el := range lit.Elts {
 		kv, ok := el.(*ast.KeyValueExpr)
@@ -236,54 +223,48 @@ func (mo *MsgOrder) parseSpec(m *Module, pkg *Package, f *File, lit *ast.Composi
 		}
 		switch key.Name {
 		case "Tag":
-			tk, ok := mo.tagOf(m, pkg, f, kv.Value, tags)
-			if !ok {
+			if s.tag = mo.tagOf(pkg, kv.Value, tags); s.tag == nil {
 				return nil
 			}
-			s.tag = tk
 		case "Dir":
-			switch v := unwrapParens(kv.Value).(type) {
+			switch v := ast.Unparen(kv.Value).(type) {
 			case *ast.Ident:
 				s.dir = v.Name
 			case *ast.SelectorExpr:
 				s.dir = v.Sel.Name
 			}
 		case "Direct":
-			if id, ok := unwrapParens(kv.Value).(*ast.Ident); ok && id.Name == "true" {
+			if id, ok := ast.Unparen(kv.Value).(*ast.Ident); ok && id.Name == "true" {
 				s.direct = true
 			}
 		}
 	}
-	if s.tag.name == "" {
+	if s.tag == nil {
 		return nil
 	}
 	return s
 }
 
-// tagOf resolves an expression to a known tag constant.
-func (mo *MsgOrder) tagOf(m *Module, pkg *Package, f *File, e ast.Expr, tags map[tagKey]bool) (tagKey, bool) {
-	switch v := unwrapParens(e).(type) {
+// tagOf resolves an expression to a known tag constant, or nil.
+func (mo *MsgOrder) tagOf(pkg *Package, e ast.Expr, tags map[*types.Const]bool) *types.Const {
+	var id *ast.Ident
+	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		tk := tagKey{pkg.ImportPath, v.Name}
-		return tk, tags[tk]
+		id = v
 	case *ast.SelectorExpr:
-		x, ok := v.X.(*ast.Ident)
-		if !ok {
-			return tagKey{}, false
-		}
-		p, ok := m.imports[f][x.Name]
-		if !ok {
-			return tagKey{}, false
-		}
-		tk := tagKey{p, v.Sel.Name}
-		return tk, tags[tk]
+		id = v.Sel
+	default:
+		return nil
 	}
-	return tagKey{}, false
+	if c, ok := pkg.Info.Uses[id].(*types.Const); ok && tags[c] {
+		return c
+	}
+	return nil
 }
 
 // collectUses finds every Send/Recv/Handle call whose direct arguments
 // include a known tag constant.
-func (mo *MsgOrder) collectUses(m *Module, tags map[tagKey]bool) []*msgUse {
+func (mo *MsgOrder) collectUses(m *Module, tags map[*types.Const]bool) []*msgUse {
 	var uses []*msgUse
 	for _, pkg := range m.Pkgs {
 		for _, f := range pkg.SourceFiles() {
@@ -298,8 +279,8 @@ func (mo *MsgOrder) collectUses(m *Module, tags map[tagKey]bool) []*msgUse {
 						return true
 					}
 					for _, arg := range call.Args {
-						if tk, ok := mo.tagOf(m, pkg, f, arg, tags); ok {
-							uses = append(uses, &msgUse{kind: name, tag: tk, pkg: pkg, pos: arg.Pos()})
+						if c := mo.tagOf(pkg, arg, tags); c != nil {
+							uses = append(uses, &msgUse{kind: name, tag: c, pkg: pkg, pos: arg.Pos()})
 						}
 					}
 					return true

@@ -75,3 +75,13 @@ func poisons(n int) {
 func allowed() {
 	mayFail(3) // reptile-lint:allow errorflow best-effort probe, failure handled by the retry above
 }
+
+// Closer stands in for a module interface such as transport.Conn.
+type Closer interface{ Close() error }
+
+// droppedViaInterface drops an error a method returns through an
+// interface: the checker types the call from the interface's declared
+// signature.
+func droppedViaInterface(c Closer) {
+	c.Close() // want "call to errorflow.Closer.Close drops its error result"
+}

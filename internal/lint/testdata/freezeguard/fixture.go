@@ -64,3 +64,11 @@ func viaParam(e *engine) {
 func (e *engine) allowed() {
 	e.owned = nil // reptile-lint:allow freezeguard teardown after the run
 }
+
+// viaLocal mutates the frozen store through a local alias of the engine.
+func viaLocal(es []*engine) {
+	e := es[0]
+	e.owned.Delete(1) // want "calls Delete on it"
+}
+
+func (s *store) Delete(id uint64) {}

@@ -101,3 +101,23 @@ func launcher(items []item, nw int) {
 }
 
 func sink(int) {}
+
+type grower struct{ n int }
+
+// grow is on the hot path of viaMap only.
+func (g *grower) grow(k int) {
+	for i := 0; i < k; i++ {
+		buf := make([]int, 1) // want "hot path of hotpath.viaMap"
+		g.n += len(buf)
+	}
+}
+
+// viaMap reaches grow through a comma-ok map read, a binding whose type
+// only the checker knows.
+//
+// reptile-lint:hotpath
+func viaMap(gs map[int]*grower, k int) {
+	if g, ok := gs[k]; ok {
+		g.grow(k)
+	}
+}

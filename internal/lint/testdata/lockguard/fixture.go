@@ -79,3 +79,18 @@ func use(b *broken) int {
 	_ = b2
 	return 0
 }
+
+// aliasBad reaches the guarded field through a local alias of shared
+// state: the checker types the local, so the access is still checked.
+func aliasBad(w *wrapper) int {
+	c := w.inner
+	return c.n // want "guarded by c.mu"
+}
+
+// newCounter initializes a value it allocated itself, before any other
+// goroutine can hold it: clean.
+func newCounter() *counter {
+	c := &counter{}
+	c.n = 1
+	return c
+}

@@ -2,506 +2,172 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"path"
 	"strings"
 )
 
-// This file is the type-aware half of the lint framework: a module-wide
-// index of declared types, struct fields, and function signatures, plus the
-// intra-package inference needed to resolve "what does this call refer to"
-// without go/types. The same deliberate trade-off as the per-analyzer
-// resolution in lockguard applies — names and declarations only, no
-// interface satisfaction, no generics — but centralized here so hotpath,
-// errorflow, and msgorder share one index instead of three ad-hoc walks.
-
-// QualType names a declared type by its package's import path and its
-// declared name.
-type QualType struct {
-	Pkg  string
-	Name string
-}
-
-// qualRef is a resolved reference to a module type, reached through any
-// number of pointers and at most one slice/array/map level (elem true means
-// "element type of a container of t").
-type qualRef struct {
-	t     QualType
-	elem  bool
-	known bool
-}
-
-// paramInfo records what the analyzers need about one declared parameter.
-type paramInfo struct {
-	name  string
-	iface bool // declared any / interface{}: a concrete argument boxes here
-}
+// This file is the type-aware half of the lint framework. Every loaded
+// package carries its go/types view (Package.Types, Package.Info); Module
+// adds the one index the module-wide analyzers need on top of it — every
+// function declaration by its *types.Func, so a resolved call leads back to
+// a body — and the call and signature queries hotpath, errorflow, and
+// msgorder share.
 
 // FuncInfo is one function or method declaration somewhere in the module.
 type FuncInfo struct {
 	Pkg  *Package
-	File *File
 	Decl *ast.FuncDecl
-	Recv QualType // zero Name for plain functions
-
-	params       []paramInfo // flattened in declaration order, variadic last
-	variadic     bool
-	results      []qualRef
-	returnsError bool // last declared result is the builtin error type
+	Func *types.Func
 }
 
 // String renders pkg.Recv.Name or pkg.Name, the label diagnostics use.
-func (fi *FuncInfo) String() string {
-	base := path.Base(fi.Pkg.ImportPath)
-	if fi.Recv.Name != "" {
-		return base + "." + fi.Recv.Name + "." + fi.Decl.Name.Name
+func (fi *FuncInfo) String() string { return funcString(fi.Func) }
+
+// funcString renders a function as pkg.Recv.Name or pkg.Name; a method
+// declared in an interface is labelled with the interface.
+func funcString(f *types.Func) string {
+	base := path.Base(f.Pkg().Path())
+	if recv := recvName(f); recv != "" {
+		return base + "." + recv + "." + f.Name()
 	}
-	return base + "." + fi.Decl.Name.Name
+	return base + "." + f.Name()
 }
 
-// funcKey identifies a function declaration module-wide.
-type funcKey struct {
-	pkg  string // import path
-	recv string // receiver type name; "" for plain functions
-	name string
+// recvName names the type a method is declared on, "" for a plain function.
+func recvName(f *types.Func) string {
+	recv := f.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return ""
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return typeName(t)
 }
 
-// Module is the whole-module index shared by the type-aware analyzers:
-// declared type names and struct fields per package, every function and
-// method declaration, and per-file import tables restricted to
-// module-local packages. Built once per Run.
+// typeName is the bare name of a named type ("Conn" for transport.Conn,
+// "List" for List[T]), "" for any other type.
+func typeName(t types.Type) string {
+	if _, ok := t.(*types.Named); !ok {
+		return ""
+	}
+	s := types.TypeString(t, func(*types.Package) string { return "" })
+	if i := strings.IndexByte(s, '['); i >= 0 {
+		s = s[:i]
+	}
+	return s
+}
+
+// Module is the loaded package set seen at once by the module-wide
+// analyzers. Pkgs are the packages under analysis; the index spans every
+// module package their loads type-checked from source (the module packages
+// Pkgs import included), so a verdict on a package does not depend on
+// which other packages the patterns named.
 type Module struct {
-	Pkgs   []*Package
-	byPath map[string]*Package
-	funcs  map[funcKey]*FuncInfo
-	// typeNames: import path -> declared type names (non-test files).
-	typeNames map[string]map[string]bool
-	// fields: import path -> struct name -> field name -> field type.
-	fields map[string]map[string]map[string]qualRef
-	// imports: file -> local name -> import path. Only paths present in the
-	// loaded package set are kept: everything else is outside the module's
-	// resolution horizon.
-	imports map[*File]map[string]string
+	Pkgs  []*Package
+	local map[*types.Package]*Package
+	funcs map[*types.Func]*FuncInfo
 }
 
 // NewModule indexes the loaded packages.
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
-		Pkgs:      pkgs,
-		byPath:    map[string]*Package{},
-		funcs:     map[funcKey]*FuncInfo{},
-		typeNames: map[string]map[string]bool{},
-		fields:    map[string]map[string]map[string]qualRef{},
-		imports:   map[*File]map[string]string{},
+		Pkgs:  pkgs,
+		local: map[*types.Package]*Package{},
+		funcs: map[*types.Func]*FuncInfo{},
 	}
-	for _, pkg := range pkgs {
-		m.byPath[pkg.ImportPath] = pkg
+	for _, p := range pkgs {
+		for _, dep := range p.load.pkgs {
+			m.local[dep.Types] = dep
+		}
 	}
-	// Pass 1: import tables and declared type names, which pass 2 needs to
-	// qualify field and result types across package boundaries.
-	for _, pkg := range pkgs {
-		names := map[string]bool{}
+	for _, pkg := range m.local {
 		for _, f := range pkg.SourceFiles() {
-			imp := map[string]string{}
-			for _, spec := range f.AST.Imports {
-				p := strings.Trim(spec.Path.Value, `"`)
-				name := path.Base(p)
-				if spec.Name != nil {
-					name = spec.Name.Name
-				}
-				if name == "_" || name == "." {
-					continue
-				}
-				imp[name] = p
-			}
-			m.imports[f] = imp
 			for _, decl := range f.AST.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
 					continue
 				}
-				for _, s := range gd.Specs {
-					if ts, ok := s.(*ast.TypeSpec); ok {
-						names[ts.Name.Name] = true
-					}
+				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					m.funcs[obj] = &FuncInfo{Pkg: pkg, Decl: fd, Func: obj}
 				}
 			}
 		}
-		m.typeNames[pkg.ImportPath] = names
-	}
-	// Pass 2: struct fields and function signatures.
-	for _, pkg := range pkgs {
-		fields := map[string]map[string]qualRef{}
-		for _, f := range pkg.SourceFiles() {
-			for _, decl := range f.AST.Decls {
-				switch d := decl.(type) {
-				case *ast.GenDecl:
-					if d.Tok != token.TYPE {
-						continue
-					}
-					for _, s := range d.Specs {
-						ts, ok := s.(*ast.TypeSpec)
-						if !ok {
-							continue
-						}
-						st, ok := ts.Type.(*ast.StructType)
-						if !ok {
-							continue
-						}
-						fm := map[string]qualRef{}
-						for _, fld := range st.Fields.List {
-							ref := m.qualRefOf(pkg, f, fld.Type)
-							for _, n := range fld.Names {
-								fm[n.Name] = ref
-							}
-							// Embedded field: usable under its type name.
-							if len(fld.Names) == 0 && ref.known {
-								fm[ref.t.Name] = ref
-							}
-						}
-						fields[ts.Name.Name] = fm
-					}
-				case *ast.FuncDecl:
-					m.indexFunc(pkg, f, d)
-				}
-			}
-		}
-		m.fields[pkg.ImportPath] = fields
 	}
 	return m
 }
 
-// indexFunc records one function declaration's resolved signature.
-func (m *Module) indexFunc(pkg *Package, f *File, fn *ast.FuncDecl) {
-	fi := &FuncInfo{Pkg: pkg, File: f, Decl: fn}
-	recv := ""
-	if fn.Recv != nil && len(fn.Recv.List) > 0 {
-		if ref := m.qualRefOf(pkg, f, fn.Recv.List[0].Type); ref.known {
-			fi.Recv = ref.t
-			recv = ref.t.Name
-		} else if r := refOfExpr(fn.Recv.List[0].Type); r.known {
-			// A receiver whose type is not indexed (interface alias etc.)
-			// still keys the method by its syntactic name.
-			fi.Recv = QualType{Pkg: pkg.ImportPath, Name: r.name}
-			recv = r.name
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, fld := range fn.Type.Params.List {
-			t := fld.Type
-			if ell, ok := t.(*ast.Ellipsis); ok {
-				fi.variadic = true
-				t = ell.Elt
-			}
-			p := paramInfo{iface: isIfaceType(t)}
-			if len(fld.Names) == 0 {
-				fi.params = append(fi.params, p)
-				continue
-			}
-			for _, n := range fld.Names {
-				p.name = n.Name
-				fi.params = append(fi.params, p)
-			}
-		}
-	}
-	if fn.Type.Results != nil {
-		for _, fld := range fn.Type.Results.List {
-			ref := m.qualRefOf(pkg, f, fld.Type)
-			n := len(fld.Names)
-			if n == 0 {
-				n = 1
-			}
-			for i := 0; i < n; i++ {
-				fi.results = append(fi.results, ref)
-			}
-			if id, ok := unwrapParens(fld.Type).(*ast.Ident); ok && id.Name == "error" {
-				fi.returnsError = true // provisional: only the last result counts
-			} else {
-				fi.returnsError = false
-			}
-		}
-	}
-	m.funcs[funcKey{pkg.ImportPath, recv, fn.Name.Name}] = fi
+// FuncOf returns the FuncInfo of a declaration in pkg, or nil.
+func (m *Module) FuncOf(pkg *Package, fd *ast.FuncDecl) *FuncInfo {
+	obj, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+	return m.funcs[obj]
 }
 
-// FuncOf returns the FuncInfo of a declaration previously indexed, or nil.
-func (m *Module) FuncOf(pkg *Package, fn *ast.FuncDecl) *FuncInfo {
-	recv := ""
-	if fn.Recv != nil && len(fn.Recv.List) > 0 {
-		if r := refOfExpr(fn.Recv.List[0].Type); r.known {
-			recv = r.name
-		}
-	}
-	fi := m.funcs[funcKey{pkg.ImportPath, recv, fn.Name.Name}]
-	if fi != nil && fi.Decl == fn {
-		return fi
-	}
-	return fi
-}
-
-// qualRefOf resolves a declared type expression in the context of one file:
-// local type names resolve to this package, selector types through the
-// file's imports. Unknown types (stdlib, builtins) return a zero ref.
-func (m *Module) qualRefOf(pkg *Package, f *File, e ast.Expr) qualRef {
-	elem := false
-	for {
-		switch t := e.(type) {
-		case *ast.StarExpr:
-			e = t.X
-		case *ast.ParenExpr:
-			e = t.X
-		case *ast.ArrayType:
-			elem = true
-			e = t.Elt
-		case *ast.MapType:
-			elem = true
-			e = t.Value
-		case *ast.Ident:
-			if m.typeNames[pkg.ImportPath][t.Name] {
-				return qualRef{t: QualType{pkg.ImportPath, t.Name}, elem: elem, known: true}
-			}
-			return qualRef{}
-		case *ast.SelectorExpr:
-			x, ok := t.X.(*ast.Ident)
-			if !ok {
-				return qualRef{}
-			}
-			p, ok := m.imports[f][x.Name]
-			if !ok {
-				return qualRef{}
-			}
-			if m.typeNames[p][t.Sel.Name] {
-				return qualRef{t: QualType{p, t.Sel.Name}, elem: elem, known: true}
-			}
-			return qualRef{}
-		default:
-			return qualRef{}
-		}
-	}
-}
-
-// isIfaceType reports whether a declared parameter type boxes its argument:
-// `any` or an empty `interface{}`.
-func isIfaceType(e ast.Expr) bool {
-	switch t := unwrapParens(e).(type) {
-	case *ast.Ident:
-		return t.Name == "any"
-	case *ast.InterfaceType:
-		return t.Methods == nil || len(t.Methods.List) == 0
-	}
-	return false
-}
-
-func unwrapParens(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
-}
-
-// funcEnv maps a function's local variable names to resolved module types,
-// for receiver resolution at call sites. Name-keyed and flow-insensitive:
-// the last binding of a name wins, which is the same approximation the
-// lockguard resolver uses.
-type funcEnv struct {
-	vars map[string]qualRef
-}
-
-// envOf infers local variable types for one indexed function: receiver,
-// parameters, named results, then two passes over the body so forward uses
-// of later bindings still resolve.
-func (m *Module) envOf(fi *FuncInfo) *funcEnv {
-	env := &funcEnv{vars: map[string]qualRef{}}
-	pkg, f, fn := fi.Pkg, fi.File, fi.Decl
-	bindFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			t := fld.Type
-			if ell, ok := t.(*ast.Ellipsis); ok {
-				t = ell.Elt
-			}
-			ref := m.qualRefOf(pkg, f, t)
-			if !ref.known {
-				continue
-			}
-			for _, n := range fld.Names {
-				env.vars[n.Name] = ref
-			}
-		}
-	}
-	if fn.Recv != nil {
-		bindFields(fn.Recv)
-	}
-	bindFields(fn.Type.Params)
-	bindFields(fn.Type.Results)
-	if fn.Body == nil {
-		return env
-	}
-	for pass := 0; pass < 2; pass++ {
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			switch t := n.(type) {
-			case *ast.ValueSpec:
-				if t.Type != nil {
-					if ref := m.qualRefOf(pkg, f, t.Type); ref.known {
-						for _, id := range t.Names {
-							env.vars[id.Name] = ref
-						}
-					}
-					return true
-				}
-				if len(t.Values) == len(t.Names) {
-					for i, id := range t.Names {
-						if ref := m.resolveExprType(pkg, f, env, t.Values[i]); ref.known {
-							env.vars[id.Name] = ref
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				m.bindAssign(pkg, f, env, t)
-			case *ast.RangeStmt:
-				if id, ok := t.Value.(*ast.Ident); ok && id.Name != "_" {
-					if ref := m.resolveExprType(pkg, f, env, t.X); ref.known && ref.elem {
-						env.vars[id.Name] = qualRef{t: ref.t, known: true}
-					}
-				}
-			}
-			return true
-		})
-	}
-	return env
-}
-
-// bindAssign records what an assignment teaches the env about its LHS names.
-func (m *Module) bindAssign(pkg *Package, f *File, env *funcEnv, as *ast.AssignStmt) {
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, lhs := range as.Lhs {
-			id, ok := lhs.(*ast.Ident)
-			if !ok || id.Name == "_" {
-				continue
-			}
-			if ref := m.resolveExprType(pkg, f, env, as.Rhs[i]); ref.known {
-				env.vars[id.Name] = ref
-			}
-		}
-		return
-	}
-	// Multi-value: a, b := f() — bind from the call's declared results.
-	if len(as.Rhs) != 1 {
-		return
-	}
-	call, ok := as.Rhs[0].(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fi := m.resolveCall(pkg, f, env, call)
-	if fi == nil || len(fi.results) != len(as.Lhs) {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		if fi.results[i].known {
-			env.vars[id.Name] = fi.results[i]
-		}
-	}
-}
-
-// resolveExprType resolves the module type of an expression, best effort.
-func (m *Module) resolveExprType(pkg *Package, f *File, env *funcEnv, e ast.Expr) qualRef {
-	switch t := e.(type) {
-	case *ast.ParenExpr:
-		return m.resolveExprType(pkg, f, env, t.X)
-	case *ast.StarExpr:
-		return m.resolveExprType(pkg, f, env, t.X)
-	case *ast.UnaryExpr:
-		if t.Op == token.AND {
-			return m.resolveExprType(pkg, f, env, t.X)
-		}
-	case *ast.Ident:
-		if ref, ok := env.vars[t.Name]; ok {
-			return ref
-		}
-	case *ast.CompositeLit:
-		if t.Type != nil {
-			return m.qualRefOf(pkg, f, t.Type)
-		}
-	case *ast.CallExpr:
-		if fi := m.resolveCall(pkg, f, env, t); fi != nil {
-			if len(fi.results) == 1 {
-				return fi.results[0]
-			}
-			return qualRef{}
-		}
-		// Not a known function: maybe a conversion T(x) or pkg.T(x).
-		if len(t.Args) == 1 {
-			if ref := m.qualRefOf(pkg, f, t.Fun); ref.known {
-				return ref
-			}
-		}
+// callee returns the function or method a call names statically — a method
+// called through an interface included — or nil for builtins, conversions,
+// and calls of function values.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch g := fun.(type) { // an explicit instantiation f[T](...)
 	case *ast.IndexExpr:
-		if ref := m.resolveExprType(pkg, f, env, t.X); ref.known && ref.elem {
-			return qualRef{t: ref.t, known: true}
-		}
-	case *ast.SelectorExpr:
-		base := m.resolveExprType(pkg, f, env, t.X)
-		if base.known && !base.elem {
-			if fm, ok := m.fields[base.t.Pkg][base.t.Name]; ok {
-				return fm[t.Sel.Name]
-			}
-		}
+		fun = g.X
+	case *ast.IndexListExpr:
+		fun = g.X
 	}
-	return qualRef{}
-}
-
-// resolveCall resolves a call expression to the module function or method it
-// invokes, or nil when the callee is outside the module (stdlib, builtin,
-// interface method, function value).
-func (m *Module) resolveCall(pkg *Package, f *File, env *funcEnv, call *ast.CallExpr) *FuncInfo {
-	switch fun := unwrapParens(call.Fun).(type) {
+	var id *ast.Ident
+	switch f := ast.Unparen(fun).(type) {
 	case *ast.Ident:
-		return m.funcs[funcKey{pkg.ImportPath, "", fun.Name}]
+		id = f
 	case *ast.SelectorExpr:
-		if x, ok := fun.X.(*ast.Ident); ok {
-			if _, isLocal := env.vars[x.Name]; !isLocal {
-				if p, ok := m.imports[f][x.Name]; ok {
-					return m.funcs[funcKey{p, "", fun.Sel.Name}]
-				}
-			}
-		}
-		ref := m.resolveExprType(pkg, f, env, fun.X)
-		if ref.known && !ref.elem {
-			return m.funcs[funcKey{ref.t.Pkg, ref.t.Name, fun.Sel.Name}]
-		}
+		id = f.Sel
+	default:
+		return nil
 	}
-	return nil
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
+	}
+	return fn.Origin()
 }
 
-// callReturnsError reports whether a call's last result is an error: module
-// functions via their indexed signature, plus the universal constructors
-// errors.New / fmt.Errorf / errors.Join.
-func (m *Module) callReturnsError(pkg *Package, f *File, env *funcEnv, call *ast.CallExpr) bool {
-	if fi := m.resolveCall(pkg, f, env, call); fi != nil {
-		return fi.returnsError
-	}
-	sel, ok := unwrapParens(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	x, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
+// resolveCall returns the module declaration a call statically reaches, or
+// nil: interface dispatch, function values, builtins, and callees outside
+// the module have no body to follow.
+func (m *Module) resolveCall(pkg *Package, call *ast.CallExpr) *FuncInfo {
+	return m.funcs[callee(pkg.Info, call)]
+}
+
+// declared reports whether f is declared in a module package of the load:
+// a function or method with a body, or a method of a module interface.
+func (m *Module) declared(f *types.Func) bool {
+	return f != nil && f.Pkg() != nil && m.local[f.Pkg()] != nil
+}
+
+var errorType = types.Universe.Lookup("error").Type()
+
+// returnsError reports whether f's last declared result is the builtin
+// error type.
+func returnsError(f *types.Func) bool {
+	res := f.Type().(*types.Signature).Results()
+	return res.Len() > 0 && types.Identical(res.At(res.Len()-1).Type(), errorType)
+}
+
+// callReturnsError reports whether a call's last result is an error:
+// module functions and methods (interface methods included) by their
+// declared signature, plus the universal constructors errors.New /
+// errors.Join / fmt.Errorf.
+func (m *Module) callReturnsError(pkg *Package, call *ast.CallExpr) bool {
+	f := callee(pkg.Info, call)
 	switch {
-	case x.Name == "errors" && (sel.Sel.Name == "New" || sel.Sel.Name == "Join"):
-		return true
-	case x.Name == "fmt" && sel.Sel.Name == "Errorf":
+	case f == nil || f.Pkg() == nil:
+		return false
+	case m.declared(f):
+		return returnsError(f)
+	}
+	switch f.Pkg().Path() + "." + f.Name() {
+	case "errors.New", "errors.Join", "fmt.Errorf":
 		return true
 	}
 	return false
